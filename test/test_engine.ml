@@ -64,6 +64,139 @@ let vt_repeatable () =
   in
   check Alcotest.string "two runs, same fingerprint" (go ()) (go ())
 
+(* -- every other Scenario runner, pinned the same way --
+
+   Chaos, live reconfiguration, the paced latency driver and the NDR
+   probe each charge their own phases. These fingerprints were captured
+   with %.17g before the runners shared one phase driver; a change to
+   the phase machinery that moves a single charge shows up here. *)
+
+module Chaos = Ovs_trafficgen.Chaos
+module Reconfig = Ovs_ofproto.Reconfig
+module Pktgen = Ovs_trafficgen.Pktgen
+module Quantiles = Ovs_sim.Quantiles
+module Dpif = Ovs_datapath.Dpif
+
+let chaos_fingerprint plan leg =
+  let spec = List.find (fun s -> s.Chaos.s_name = plan) Chaos.catalog in
+  let c = (Chaos.run_one spec leg).Chaos.row_res in
+  Printf.sprintf
+    "base=%.17g fault=%.17g post=%.17g off=%d del=%d drops=%d rec=%s lat=%d"
+    c.Scenario.c_baseline_mpps c.Scenario.c_faulted_mpps
+    c.Scenario.c_post_mpps c.Scenario.c_offered c.Scenario.c_delivered
+    c.Scenario.c_drops
+    (match c.Scenario.c_recovery_ns with
+    | Some ns -> Printf.sprintf "%.17g" ns
+    | None -> "-")
+    c.Scenario.c_latency_count
+
+let golden_chaos_pmd_crash () =
+  check Alcotest.string "pmd_crash/pmd byte-identical"
+    "base=10.079364756047699 fault=8.0678995230637778 \
+     post=10.079364756047699 off=20000 del=20000 drops=0 \
+     rec=150301.13749999047 lat=20000"
+    (chaos_fingerprint "pmd_crash" Chaos.Pmd_leg)
+
+let golden_chaos_pkt_mangle () =
+  check Alcotest.string "pkt_mangle/afxdp byte-identical"
+    "base=7.2429324822891532 fault=6.6332070021712166 \
+     post=7.2429324822891532 off=20000 del=18430 drops=1570 rec=- lat=18430"
+    (chaos_fingerprint "pkt_mangle" Chaos.Afxdp_leg)
+
+let reconfig_fingerprint ~naive =
+  let swap = if naive then "swap-naive" else "swap" in
+  let plan =
+    Reconfig.plan_of_string ~name:swap
+      (String.concat "\n"
+         [
+           "@0.000100 insert table=0,priority=400,udp,in_port=0,actions=output:1";
+           "@0.000200 delete table=0,udp,in_port=0";
+           "@0.000300 " ^ swap
+           ^ " table=0,priority=200,udp,in_port=0,actions=output:1; \
+              table=0,priority=10,actions=output:1";
+         ])
+  in
+  let r =
+    Scenario.run_reconfig
+      (Scenario.config ~kind:(Dpif.Afxdp Dpif.afxdp_default) ~warmup:1_000
+         ~measure:4_000 ~latency:true ())
+      plan
+  in
+  Printf.sprintf "off=%d del=%d drops=%d van=%d rec=%s ev=[%s]"
+    r.Scenario.rc_offered r.Scenario.rc_delivered r.Scenario.rc_drops
+    r.Scenario.rc_vanished
+    (match r.Scenario.rc_upgrade with
+    | Some u -> Printf.sprintf "%.17g" u.Reconfig.up_recovery_ns
+    | None -> "-")
+    (String.concat " "
+       (List.map
+          (fun (e : Scenario.churn_event) ->
+            Printf.sprintf "%d/%d/%d" e.Scenario.e_dirty e.Scenario.e_retx
+              e.Scenario.e_evicted)
+          r.Scenario.rc_events))
+
+let golden_reconfig_two_phase () =
+  check Alcotest.string "two-phase swap on afxdp byte-identical"
+    "off=4000 del=4000 drops=0 van=0 rec=30385.099999999569 \
+     ev=[1/1/1 1/1/1 0/0/1]"
+    (reconfig_fingerprint ~naive:false)
+
+let golden_reconfig_naive () =
+  check Alcotest.string "naive swap on afxdp byte-identical"
+    "off=4000 del=3488 drops=0 van=512 rec=101793.69999999361 \
+     ev=[1/1/1 1/1/1 2/2/2]"
+    (reconfig_fingerprint ~naive:true)
+
+let sketch_fingerprint q =
+  Printf.sprintf "n=%d sum=%.17g p50=%.17g p99=%.17g max=%.17g"
+    (Quantiles.count q) (Quantiles.sum q) (Quantiles.p50 q) (Quantiles.p99 q)
+    (Quantiles.quantile q 100.)
+
+let latency_fingerprint ?burst () =
+  let rig =
+    Scenario.setup (Scenario.config ~n_flows:8 ~latency:true ~burst ())
+  in
+  Scenario.drive rig 2_000;
+  let delivered, q = Scenario.measure_latency rig ~rate_pps:2e6 5_000 in
+  Printf.sprintf "del=%d %s" delivered (sketch_fingerprint q)
+
+let golden_latency_steady () =
+  check Alcotest.string "steady 2 Mpps sketch byte-identical"
+    "del=5000 n=5000 sum=38702000 p50=7520.9427538659484 \
+     p99=15396.116737783464 max=15500"
+    (latency_fingerprint ())
+
+let golden_latency_burst () =
+  check Alcotest.string "bursty 2 Mpps sketch byte-identical"
+    "del=5000 n=5000 sum=159602000 p50=15092.752414256907 \
+     p99=65816.042940587547 max=65500"
+    (latency_fingerprint
+       ~burst:{ Pktgen.on_packets = 64; off_ns = 50_000. }
+       ())
+
+let golden_ndr_probes () =
+  let rig = Scenario.setup (Scenario.config ~n_flows:1 ~latency:true ()) in
+  Scenario.drive rig 2_000;
+  let probe rate_pps =
+    let p = Scenario.ndr_probe rig ~rate_pps 10_000 in
+    Printf.sprintf "%d/%d wall=%.17g %s" p.Ovs_trafficgen.Ndr.offered
+      p.Ovs_trafficgen.Ndr.delivered
+      (Ovs_sim.Cpu.wall rig.Scenario.r_machine)
+      (sketch_fingerprint (Dpif.latency rig.Scenario.r_dp))
+  in
+  check
+    Alcotest.(list string)
+    "three-rate probe sequence byte-identical"
+    [
+      "10000/6176 wall=852693.30000001728 n=6176 sum=2034186912.7409823 \
+       p50=336540.29261208349 p99=564609.92054118984 max=568134.14285712829";
+      "10000/10000 wall=10000000 n=10000 sum=154872000 \
+       p50=15092.752414256907 p99=30896.363084922938 max=31000";
+      "10000/10000 wall=1666666.6666668567 n=10000 sum=25396166.666669283 \
+       p50=2517.2199609478134 p99=5152.9992504609936 max=5166.6666666690726";
+    ]
+    (List.map probe [ 3.5e7; 1e6; 6e6 ])
+
 (* -- the generic handle: dispatch reaches the vt engine -- *)
 
 let handle_dispatch () =
@@ -271,6 +404,18 @@ let () =
           Alcotest.test_case "golden legacy" `Quick golden_legacy;
           Alcotest.test_case "golden pvp" `Quick golden_pvp;
           Alcotest.test_case "repeatable" `Quick vt_repeatable;
+          Alcotest.test_case "golden chaos pmd_crash" `Quick
+            golden_chaos_pmd_crash;
+          Alcotest.test_case "golden chaos pkt_mangle" `Quick
+            golden_chaos_pkt_mangle;
+          Alcotest.test_case "golden reconfig two-phase" `Quick
+            golden_reconfig_two_phase;
+          Alcotest.test_case "golden reconfig naive" `Quick
+            golden_reconfig_naive;
+          Alcotest.test_case "golden latency steady" `Quick
+            golden_latency_steady;
+          Alcotest.test_case "golden latency burst" `Quick golden_latency_burst;
+          Alcotest.test_case "golden ndr probes" `Quick golden_ndr_probes;
         ] );
       ( "handle",
         [ Alcotest.test_case "dispatch" `Quick handle_dispatch ] );
