@@ -926,11 +926,9 @@ module Pktgen = Ovs_trafficgen.Pktgen
    (name, config builder, p99/p50 shape tolerance): the builder takes the
    latency knobs so one leg definition serves the capacity run (latency
    off), the rate ladder, and the NDR probes. *)
-let lat_leg_config which ?(latency = true) ?(n_flows = 64)
-    ?(offered_mpps = 0.) ?(burst = None) () =
+let lat_leg_config which ?(latency = true) ?(n_flows = 64) ?(burst = None) () =
   let base ~kind ~n_pmds ~n_rxqs ~queues =
-    Scenario.config ~kind ~n_pmds ~n_rxqs ~queues ~n_flows ~latency
-      ~offered_mpps ~burst ()
+    Scenario.config ~kind ~n_pmds ~n_rxqs ~queues ~n_flows ~latency ~burst ()
   in
   match which with
   | `Kernel -> base ~kind:Dpif.Kernel ~n_pmds:0 ~n_rxqs:0 ~queues:1
@@ -1982,8 +1980,7 @@ let reconfig_exp () =
   (* -- the true-parallelism cutover on OCaml domains -- *)
   let mc =
     Scenario.run_reconfig_multicore ~n_domains:2
-      (Scenario.config ~kind:Dpif.Dpdk ~frame_len ~measure:40_000
-         ~engine:(`Domains 2) ())
+      (Scenario.config ~kind:Dpif.Dpdk ~frame_len ~measure:40_000 ())
       ~flows_before:
         [
           "table=0,priority=100,udp,actions=output:1";

@@ -93,8 +93,6 @@ type config = {
           one-context-per-queue loop *)
   n_rxqs : int;  (** rxqs for the PMD runtime; 0 means [queues] *)
   trace : bool;  (** attach a per-stage cycle tracer to the datapath *)
-  faults : Faults.plan option;
-      (** arm this fault plan over the measurement ({!run_chaos}) *)
   rx_policy : Netdev.rx_policy;  (** ingress NIC's full-ring behavior *)
   strict_match : bool;
       (** P2P: match udp explicitly with a default-drop rule, so mangled
@@ -106,26 +104,15 @@ type config = {
   retry_capacity : int;
       (** per-PMD retry queue bound — the schedule explorer shrinks both
           so its bounded-queue oracle bites at tiny packet counts *)
-  engine : Engine.mode;
-      (** which execution engine drives the PMD leg: [`Vt] (default) is
-          the deterministic virtual-time scheduler; [`Domains n] runs the
-          P2P rig on [n] real OCaml domains and measures wall-clock Mpps *)
   latency : bool;
       (** arm per-packet sojourn-time measurement: the generator becomes
-          a paced line-rate core ([offered_mpps]), stamps each packet's
-          birth on its arrival clock, and the egress sink records
-          sojourns into the datapath's {!Ovs_sim.Quantiles} sketch.
-          Off (the default) creates no context and stamps nothing, so
-          existing runs stay byte-identical. *)
-  offered_mpps : float;
-      (** offered rate for the paced latency driver, Mpps; 0. (default)
-          offers at line rate *)
+          a paced line-rate core, stamps each packet's birth on its
+          arrival clock, and the egress sink records sojourns into the
+          datapath's {!Ovs_sim.Quantiles} sketch. Off (the default)
+          creates no context and stamps nothing, so existing runs stay
+          byte-identical. *)
   burst : Pktgen.onoff option;
       (** bursty on-off generator mode for the paced driver *)
-  ct_sweep_budget : int option;
-      (** amortized conntrack expiry: each engine step also runs one
-          bounded cursor sweep with this budget. [None] (default)
-          keeps runs byte-identical to the pre-subsystem engine. *)
 }
 
 let default_config =
@@ -144,17 +131,13 @@ let default_config =
     n_pmds = 0;
     n_rxqs = 0;
     trace = false;
-    faults = None;
     rx_policy = Netdev.Rx_drop;
     strict_match = false;
     ct_zone = None;
     upcall_capacity = 512;
     retry_capacity = 256;
-    engine = `Vt;
     latency = false;
-    offered_mpps = 0.;
     burst = None;
-    ct_sweep_budget = None;
   }
 
 (** Builder over {!default_config}, so call sites survive new fields. *)
@@ -165,19 +148,15 @@ let config ?(kind = default_config.kind) ?(topology = default_config.topology)
     ?(cache = default_config.cache) ?(ccache = default_config.ccache)
     ?(mix = default_config.mix) ?(n_pmds = default_config.n_pmds)
     ?(n_rxqs = default_config.n_rxqs) ?(trace = default_config.trace)
-    ?(faults = default_config.faults) ?(rx_policy = default_config.rx_policy)
+    ?(rx_policy = default_config.rx_policy)
     ?(strict_match = default_config.strict_match)
     ?(ct_zone = default_config.ct_zone)
     ?(upcall_capacity = default_config.upcall_capacity)
     ?(retry_capacity = default_config.retry_capacity)
-    ?(engine = default_config.engine) ?(latency = default_config.latency)
-    ?(offered_mpps = default_config.offered_mpps)
-    ?(burst = default_config.burst)
-    ?(ct_sweep_budget = default_config.ct_sweep_budget) () =
+    ?(latency = default_config.latency) ?(burst = default_config.burst) () =
   { kind; topology; n_flows; frame_len; queues; gbps; warmup; measure; cache;
-    ccache; mix; n_pmds; n_rxqs; trace; faults; rx_policy; strict_match;
-    ct_zone; upcall_capacity; retry_capacity; engine; latency; offered_mpps;
-    burst; ct_sweep_budget }
+    ccache; mix; n_pmds; n_rxqs; trace; rx_policy; strict_match; ct_zone;
+    upcall_capacity; retry_capacity; latency; burst }
 
 let is_userspace = function
   | Dpif.Dpdk | Dpif.Afxdp _ -> true
@@ -421,8 +400,6 @@ let setup (cfg : config) : rig =
   in
   let active = Pktgen.queues_hit gen ~n_queues:queues in
   Dpif.set_active_queues dp active;
-  ignore vhost_kthread;
-  ignore container;
   {
     r_cfg = cfg;
     r_machine = machine;
@@ -443,8 +420,19 @@ let setup (cfg : config) : rig =
     r_gen = gen;
     r_eng =
       Engine_vt.create ~dp ~machine ~softirq:sirq ~legacy:pmds ~rt ~port_no:p0
-        ~queues ?ct_sweep_budget:cfg.ct_sweep_budget ();
+        ~queues ();
   }
+
+module Dp_core = Ovs_datapath.Dp_core
+module Xsk = Ovs_xsk.Xsk
+
+(* -- the phase driver --
+
+   Every runner repeats one experiment shape (Sec 5, Table 4): warm the
+   caches, reset, inject a phase of traffic, drain, and account for
+   every packet. They share one reset, one inject loop, one drain loop
+   and one conservation ledger; per-run behaviour (fault ticks, packet
+   mangling, churn events, the recovery probe) enters as arguments. *)
 
 let batch = 32
 
@@ -464,82 +452,6 @@ let poll_sweep (r : rig) =
         r.r_vdevs
   | None -> ()
 
-(* The paced driver behind every latency-armed run. The generator is its
-   own line-rate core: each packet charges its inter-arrival gap to
-   [loadgen] (the arrival clock — birth stamps come from it) and a
-   credit counter converts elapsed server time back into injection
-   budget, [credit += rate * dwall]. When the dataplane keeps up, wall
-   advances exactly one gap per packet and the loop stays in lockstep;
-   when it falls behind, wall outruns the arrival clock, the credit (=
-   packets that arrived meanwhile) grows, and the backlog overflows the
-   NIC ring into counted rx drops — which is what gives an NDR probe a
-   real loss cliff and a latency rung its queueing tail. *)
-let drive_paced (r : rig) (loadgen : Cpu.ctx) ?(rate_pps = 0.) n =
-  let cfg = r.r_cfg in
-  let rate =
-    if rate_pps > 0. then rate_pps
-    else if cfg.offered_mpps > 0. then cfg.offered_mpps *. 1e6
-    else Netdev.line_rate_pps r.r_phy0 ~frame_len:cfg.frame_len
-  in
-  let gap = 1e9 /. rate in
-  let in_burst = ref 0 in
-  let injected = ref 0 in
-  let credit = ref (float_of_int batch) in
-  while !injected < n do
-    let want =
-      Int.min (Int.min (int_of_float !credit) (n - !injected)) 4096
-    in
-    let w0 = Cpu.wall r.r_machine in
-    if want > 0 then begin
-      for _ = 1 to want do
-        Cpu.charge loadgen Cpu.User gap;
-        (match cfg.burst with
-        | Some b ->
-            incr in_burst;
-            if !in_burst >= b.Pktgen.on_packets then begin
-              in_burst := 0;
-              (* generator silence: the arrival clock idles, and the
-                 credit the silent period will accrue (wall keeps
-                 moving) is cancelled here — packets do not arrive
-                 during the off phase, which is what drops the mean
-                 offered rate to on / (on + off) *)
-              Cpu.charge loadgen Cpu.User b.Pktgen.off_ns;
-              credit := !credit -. (rate *. b.Pktgen.off_ns /. 1e9)
-            end
-        | None -> ());
-        let pkt = Pktgen.next ~birth_ns:(Cpu.busy loadgen) r.r_gen in
-        ignore (Netdev.rss_enqueue r.r_phy0 pkt : bool);
-        incr injected
-      done;
-      Engine_vt.note_offered r.r_eng want;
-      credit := !credit -. float_of_int want
-    end;
-    poll_sweep r;
-    let dwall = Cpu.wall r.r_machine -. w0 in
-    (* an idle iteration (no credit, nothing to poll) must still move the
-       clock or the loop deadlocks *)
-    if dwall <= 0. && want = 0 then Cpu.charge loadgen Cpu.User (Time.us 1.);
-    let dwall = Float.max dwall (Cpu.wall r.r_machine -. w0) in
-    credit := !credit +. (rate *. dwall /. 1e9)
-  done
-
-let drive (r : rig) n =
-  match r.r_loadgen with
-  | Some loadgen -> drive_paced r loadgen n
-  | None ->
-      let injected = ref 0 in
-      while !injected < n do
-        for _ = 1 to batch do
-          ignore (Netdev.rss_enqueue r.r_phy0 (Pktgen.next r.r_gen) : bool);
-          incr injected
-        done;
-        Engine_vt.note_offered r.r_eng batch;
-        poll_sweep r
-      done
-
-module Dp_core = Ovs_datapath.Dp_core
-module Xsk = Ovs_xsk.Xsk
-
 (* packets inside the rig: NIC rx queues, XSK rx rings, PMD upcall and
    retry queues — everything offered but not yet delivered or dropped *)
 let in_flight (r : rig) =
@@ -553,80 +465,284 @@ let in_flight (r : rig) =
     | Some rt -> List.fold_left (fun a p -> a + Pmd.queued p) 0 (Pmd.pmds rt)
     | None -> 0)
 
+(* every counter an accounted drop lands in: the ingress NIC, the XSK
+   rings, the datapath and the virtual endpoints' rx queues *)
+let dropped (r : rig) =
+  r.r_phy0.Netdev.stats.Netdev.rx_dropped
+  + (Dpif.counters r.r_dp).Dp_core.dropped
+  + (match Dpif.xsks r.r_dp ~port_no:r.r_p0 with
+    | Some xs ->
+        Array.fold_left
+          (fun a x -> a + x.Xsk.rx_dropped_no_frame + x.Xsk.rx_dropped_ring_full)
+          0 xs
+    | None -> 0)
+  + List.fold_left (fun a (d, _) -> a + d.Netdev.stats.Netdev.rx_dropped) 0
+      r.r_vdevs
+
+(* Poll while [pending ()], at most [budget] sweeps. With [idle], each
+   sweep first charges that clock an idle microsecond: virtual time only
+   moves through charges, so a stalled rig would never reach the fault
+   window's close or the next churn event. *)
+let drain ?idle ?(before = ignore) ?(after = ignore) ?(budget = 200_000)
+    (r : rig) ~pending =
+  let iters = ref 0 in
+  while pending () && !iters < budget do
+    incr iters;
+    Option.iter (fun c -> Cpu.charge c Cpu.User (Time.us 1.)) idle;
+    before ();
+    poll_sweep r;
+    after ()
+  done
+
 (* run the rig dry without injecting, so a measurement phase starts (and
    its predecessor's packets end) on empty queues *)
 let quiesce (r : rig) =
-  let budget = ref 10_000 in
-  while in_flight r > 0 && !budget > 0 do
-    decr budget;
-    poll_sweep r
-  done
+  drain r ~budget:10_000 ~pending:(fun () -> in_flight r > 0)
 
-(* Quiesce, reset clocks, counters and the generator's flow-choice
-   stream, drive [n] packets, return (delivered, rate in pps over the
-   phase's wall time). Phases replay identical traffic, so their rates
-   are comparable at exact-determinism tightness. *)
-let measure_phase (r : rig) n =
-  quiesce r;
-  Pktgen.reset r.r_gen;
+(* Zero every clock and measurement counter. A [fresh] phase (the
+   default) first runs the rig dry and rewinds the generator, so phases
+   replay identical traffic and compare at exact-determinism tightness;
+   {!run} measures straight on from its warm-up instead. *)
+let reset ?(fresh = true) (r : rig) =
+  if fresh then begin
+    quiesce r;
+    Pktgen.reset r.r_gen
+  end;
   List.iter Cpu.reset r.r_machine.Cpu.ctxs;
   Dpif.reset_measurement r.r_dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
-  let tx0 = r.r_phy1.Netdev.stats.Netdev.tx_packets in
-  drive r n;
-  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - tx0 in
-  let wall =
-    Float.max (Float.max (Cpu.wall r.r_machine) (Dpif.serialized_tx r.r_dp)) 1.
+  Option.iter Pmd.reset_stats r.r_rt
+
+(** How the generator presents a phase's packets. *)
+type arrival =
+  | Lockstep  (** no clock: whole batches, so a count rounds up to one *)
+  | Clocked of Cpu.ctx * Time.ns
+      (** the generator as its own core, one wire gap per packet *)
+  | Paced of pacer  (** credit pacing, see {!paced} *)
+
+and pacer = {
+  clock : Cpu.ctx;
+  rate : float;  (** packets per second *)
+  gap : Time.ns;
+  burst : Pktgen.onoff option;
+  mutable credit : float;
+  mutable in_burst : int;
+}
+
+(* The paced generator behind every latency-armed run. Each packet
+   charges its inter-arrival gap to the clock (birth stamps come from
+   it) and [credit += rate * dwall] converts elapsed server time back
+   into injection budget. When the dataplane keeps up, wall advances one
+   gap per packet and the loop stays in lockstep; when it falls behind,
+   the credit (= packets that arrived meanwhile) grows and the backlog
+   overflows the NIC ring into counted rx drops — which is what gives an
+   NDR probe a real loss cliff and a latency rung its queueing tail.
+   [rate_pps = 0.] offers line rate. *)
+let paced (r : rig) clock ~rate_pps =
+  let rate =
+    if rate_pps > 0. then rate_pps
+    else Netdev.line_rate_pps r.r_phy0 ~frame_len:r.r_cfg.frame_len
   in
-  (delivered, float_of_int delivered /. wall *. 1e9)
+  Paced
+    { clock; rate; gap = 1e9 /. rate; burst = r.r_cfg.burst;
+      credit = float_of_int batch; in_burst = 0 }
+
+(* the rig's own arrival: paced at line rate when latency-armed *)
+let default_arrival (r : rig) =
+  match r.r_loadgen with
+  | Some clock -> paced r clock ~rate_pps:0.
+  | None -> Lockstep
+
+(* The chaos and reconfig generator: a line-rate core. Plain [run] never
+   creates its context, so unfaulted runs stay byte-identical; a
+   latency-armed rig already carries it. *)
+let clocked (r : rig) =
+  let clock =
+    match r.r_loadgen with
+    | Some lg -> lg
+    | None -> Cpu.ctx r.r_machine "loadgen"
+  in
+  Clocked
+    (clock, 1e9 /. Netdev.line_rate_pps r.r_phy0 ~frame_len:r.r_cfg.frame_len)
+
+(** One measurement phase: its arrival model, the counters it started
+    from, and what it has injected so far. *)
+type phase = {
+  rig : rig;
+  arrival : arrival;
+  clock : Cpu.ctx option;
+  tx0 : int;
+  drops0 : int;
+  mutable injected : int;
+  mutable offered : int;  (** enqueued, or dropped and counted at the NIC *)
+  mutable pressure : int;
+      (** refused uncounted under [Rx_backpressure]; never offered *)
+}
+
+let phase (r : rig) arrival =
+  let clock =
+    match arrival with
+    | Lockstep -> None
+    | Clocked (c, _) | Paced { clock = c; _ } -> Some c
+  in
+  { rig = r; arrival; clock; tx0 = r.r_phy1.Netdev.stats.Netdev.tx_packets;
+    drops0 = dropped r; injected = 0; offered = 0; pressure = 0 }
+
+(* Inject until the phase has presented [upto] packets, one poll sweep
+   per batch. [mangle] rewrites each packet before it is stamped and
+   enqueued; [before] and [after] run around every sweep. *)
+let inject ?(mangle = ignore) ?(before = ignore) ?(after = ignore) ph upto =
+  let r = ph.rig and phy0 = ph.rig.r_phy0 in
+  while ph.injected < upto do
+    let left = upto - ph.injected in
+    let n =
+      match ph.arrival with
+      | Lockstep -> batch
+      | Clocked _ -> Int.min batch left
+      | Paced p -> Int.min (Int.min (int_of_float p.credit) left) 4096
+    in
+    let w0 = Cpu.wall r.r_machine in
+    for _ = 1 to n do
+      let pkt = Pktgen.next r.r_gen in
+      mangle pkt;
+      (match ph.arrival with
+      | Lockstep -> ()
+      | Clocked (clock, gap) -> Cpu.charge clock Cpu.User gap
+      | Paced p -> (
+          Cpu.charge p.clock Cpu.User p.gap;
+          match p.burst with
+          | Some b ->
+              p.in_burst <- p.in_burst + 1;
+              if p.in_burst >= b.Pktgen.on_packets then begin
+                p.in_burst <- 0;
+                (* generator silence: the arrival clock idles, and the
+                   credit the silent period will accrue (wall keeps
+                   moving) is cancelled here — packets do not arrive
+                   during the off phase, which is what drops the mean
+                   offered rate to on / (on + off) *)
+                Cpu.charge p.clock Cpu.User b.Pktgen.off_ns;
+                p.credit <- p.credit -. (p.rate *. b.Pktgen.off_ns /. 1e9)
+              end
+          | None -> ()));
+      (* birth on the arrival clock, stamped after mangling: a dropped
+         mangled packet must not leak its timestamp into the sketch *)
+      (match ph.clock with
+      | Some c when r.r_cfg.latency ->
+          pkt.Ovs_packet.Buffer.birth_ns <- Cpu.busy c
+      | _ -> ());
+      let rxd = phy0.Netdev.stats.Netdev.rx_dropped in
+      if Netdev.rss_enqueue phy0 pkt || phy0.Netdev.stats.Netdev.rx_dropped > rxd
+      then ph.offered <- ph.offered + 1
+      else ph.pressure <- ph.pressure + 1;
+      ph.injected <- ph.injected + 1
+    done;
+    if n > 0 then Engine_vt.note_offered r.r_eng n;
+    before ();
+    poll_sweep r;
+    after ();
+    match ph.arrival with
+    | Paced p ->
+        if n > 0 then p.credit <- p.credit -. float_of_int n;
+        let dwall = Cpu.wall r.r_machine -. w0 in
+        (* an idle iteration (no credit, nothing to poll) must still move
+           the clock or the loop deadlocks *)
+        if dwall <= 0. && n = 0 then Cpu.charge p.clock Cpu.User (Time.us 1.);
+        let dwall = Float.max dwall (Cpu.wall r.r_machine -. w0) in
+        p.credit <- p.credit +. (p.rate *. dwall /. 1e9)
+    | Lockstep | Clocked _ -> ()
+  done
+
+(** Drive [n] packets through the rig with its own arrival model. *)
+let drive (r : rig) n = inject (phase r (default_arrival r)) n
+
+(** The conservation ledger every runner reads: offered = delivered +
+    drops + in flight + vanished, exactly. *)
+type ledger = {
+  l_offered : int;
+  l_delivered : int;
+  l_drops : int;  (** summed over every drop counter *)
+  l_pressure : int;  (** refused uncounted, never offered *)
+  l_in_flight : int;
+  l_vanished : int;  (** neither delivered, dropped nor queued *)
+  l_wall : Time.ns;
+      (** the bottleneck context's busy time, or the egress
+          serialization floor when that is later *)
+}
+
+let ledger ph =
+  let r = ph.rig in
+  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - ph.tx0 in
+  let drops = dropped r - ph.drops0 and in_flight = in_flight r in
+  { l_offered = ph.offered; l_delivered = delivered; l_drops = drops;
+    l_pressure = ph.pressure; l_in_flight = in_flight;
+    l_vanished = ph.offered - delivered - drops - in_flight;
+    l_wall =
+      Float.max
+        (Float.max (Cpu.wall r.r_machine) (Dpif.serialized_tx r.r_dp))
+        1. }
+
+let conserved l = l.l_vanished = 0 && l.l_in_flight = 0
+let rate_pps l = float_of_int l.l_delivered /. l.l_wall *. 1e9
+
+(* Set up and warm the caches and megaflows, then train the
+   computational cache over them; the training charge lands in warm-up
+   time, which the next reset zeroes. *)
+let warm (cfg : config) =
+  let r = setup cfg in
+  drive r cfg.warmup;
+  if cfg.ccache then
+    ignore
+      (Dpif.ccache_train r.r_dp (fun cat ns -> Cpu.charge r.r_sirq.(0) cat ns)
+        : Ovs_nmu.Ccache.train_stats option);
+  r
+
+(* a clean-slate phase of [n] packets with the rig's own arrival *)
+let measure_phase (r : rig) n =
+  reset r;
+  let ph = phase r (default_arrival r) in
+  inject ph n;
+  rate_pps (ledger ph)
 
 (* -- latency and NDR probes (require a latency-armed rig) -- *)
 
-let loadgen_exn (r : rig) =
-  match r.r_loadgen with
-  | Some lg -> lg
-  | None -> invalid_arg "Scenario: rig not latency-armed (config ~latency:true)"
+(* a clean-slate paced phase, drained so every still-queued packet
+   egresses or is dropped before the sketch is read *)
+let paced_phase (r : rig) ~rate_pps n =
+  let clock =
+    match r.r_loadgen with
+    | Some lg -> lg
+    | None ->
+        invalid_arg "Scenario: rig not latency-armed (config ~latency:true)"
+  in
+  reset r;
+  let ph = phase r (paced r clock ~rate_pps) in
+  inject ph n;
+  quiesce r;
+  ledger ph
 
-(** One clean-slate measurement of the sojourn-time distribution:
-    quiesce, reset, offer [n] packets at [rate_pps] (0. = the config's
-    offered rate) through the paced driver, then drain so every
-    still-queued packet egresses or is dropped before the sketch is
-    read. Returns (delivered, the datapath's sketch) — the sketch's
+(** One clean-slate measurement of the sojourn-time distribution: offer
+    [n] packets at [rate_pps] (0. = line rate) through the paced driver
+    and drain. Returns (delivered, the datapath's sketch) — the sketch's
     count equals delivered exactly (drops record nothing), the
     conservation the latency gates enforce. *)
 let measure_latency (r : rig) ?(rate_pps = 0.) n =
-  let loadgen = loadgen_exn r in
-  quiesce r;
-  Pktgen.reset r.r_gen;
-  List.iter Cpu.reset r.r_machine.Cpu.ctxs;
-  Dpif.reset_measurement r.r_dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
-  let tx0 = r.r_phy1.Netdev.stats.Netdev.tx_packets in
-  drive_paced r loadgen ~rate_pps n;
-  quiesce r;
-  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - tx0 in
-  (delivered, Dpif.latency r.r_dp)
+  ((paced_phase r ~rate_pps n).l_delivered, Dpif.latency r.r_dp)
 
 (** One RFC 2544 probe: offer [n] packets at [rate_pps], drain, report
     offered vs delivered for {!Ndr.search}'s loss-free test. *)
 let ndr_probe (r : rig) ~rate_pps n : Ndr.probe_result =
-  let delivered, _ = measure_latency r ~rate_pps n in
-  { Ndr.offered = n; delivered }
+  let l = paced_phase r ~rate_pps n in
+  { Ndr.offered = l.l_offered; delivered = l.l_delivered }
 
-(* -- the real-parallelism leg: [`Domains n] -- *)
+(* -- the real-parallelism leg -- *)
 
-(** Drive the P2P scenario through {!Ovs_datapath.Engine_domains}: the
-    generator's pre-built templates become the injector's wire frames,
-    [cfg.measure] packets are offered, and the readout is wall-clock
-    Mpps. Returns the engine stats and any oracle violations (empty with
-    [oracles:false], the default). Only P2P is meaningful here — the
-    virtual endpoints are virtual-time constructs. *)
-let run_multicore ?(oracles = false) ?lock ?frames_per_queue ?ring_size
-    (cfg : config) ~n_domains () : Engine.stats * string list =
-  (match cfg.topology with
-  | P2P -> ()
-  | PVP _ | PCP _ | Chain _ ->
-      invalid_arg "Scenario.run_multicore: only P2P runs on real domains");
+(* The P2P rig on {!Ovs_datapath.Engine_domains}: the generator's
+   pre-built templates become the injector's wire frames and
+   [cfg.measure] packets are offered. Only P2P is meaningful here — the
+   virtual endpoints are virtual-time constructs. *)
+let domains_engine ?lock ?frames_per_queue ?ring_size ~oracles ~translate
+    (cfg : config) ~n_domains =
+  if cfg.topology <> P2P then
+    invalid_arg "Scenario: only P2P runs on real domains";
   let gen =
     Pktgen.create ~mix:cfg.mix ~n_flows:cfg.n_flows ~frame_len:cfg.frame_len ()
   in
@@ -637,66 +753,36 @@ let run_multicore ?(oracles = false) ?lock ?frames_per_queue ?ring_size
           b.Ovs_packet.Buffer.len)
       gen.Pktgen.templates
   in
-  let ecfg =
-    Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
-      ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles
-      ~latency:cfg.latency ?lock ?frames_per_queue ?ring_size
+  Engine_domains.create
+    (Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
+       ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles
+       ~latency:cfg.latency ?lock ?frames_per_queue ?ring_size ~translate
+       ~templates ())
+
+(** Drive the P2P scenario on [n_domains] real OCaml domains; the readout
+    is wall-clock Mpps. Returns the engine stats and any oracle
+    violations (empty with [oracles:false], the default). *)
+let run_multicore ?(oracles = false) ?lock ?frames_per_queue ?ring_size
+    (cfg : config) ~n_domains () : Engine.stats * string list =
+  let eng =
+    domains_engine ?lock ?frames_per_queue ?ring_size ~oracles
       ~translate:(fun _ -> true) (* P2P: one wildcard rule, port0 -> port1 *)
-      ~templates ()
+      cfg ~n_domains
   in
-  let eng = Engine_domains.create ecfg in
   Engine_domains.start eng;
   let stats = Engine_domains.stop eng in
   (stats, Engine_domains.violations eng)
 
-(* Adapt engine stats to the scenario result shape: wall-clock rate, no
-   virtual-time CPU breakdown (domains burn real cores; the Table 4
-   accounting belongs to the [`Vt] engine). *)
-let result_of_engine_stats (s : Engine.stats) : result =
-  let machine = Cpu.create () in
-  {
-    rate_mpps = s.Engine.s_mpps;
-    wall_ns = s.Engine.s_wall_ns;
-    cpu = Cpu.breakdown ~poll_floor:[] machine ~wall:1.;
-    packets = s.Engine.s_delivered;
-    line_limited = false;
-    pmds = [];
-    busy_ns =
-      List.fold_left
-        (fun a (u : Engine.unit_load) -> a +. u.Engine.ul_busy_ns)
-        0. s.Engine.s_units_detail;
-    stage_trace = None;
-  }
-
 let run (cfg : config) : result =
-  match cfg.engine with
-  | `Domains n ->
-      let stats, viols = run_multicore cfg ~n_domains:n () in
-      List.iter
-        (fun v -> Fmt.epr "[multicore] oracle violation: %s@." v)
-        viols;
-      result_of_engine_stats stats
-  | `Vt ->
-  let r = setup cfg in
+  let r = warm cfg in
   let machine = r.r_machine and dp = r.r_dp and rt = r.r_rt in
-  (* warm up caches and megaflows, then measure from a clean slate *)
-  drive r cfg.warmup;
-  (* train the computational cache over the warmed-up megaflows; the
-     training charge lands in warmup time, which the resets below zero *)
-  if cfg.ccache then
-    ignore
-      (Dpif.ccache_train dp (fun cat ns -> Cpu.charge r.r_sirq.(0) cat ns)
-        : Ovs_nmu.Ccache.train_stats option);
-  List.iter Cpu.reset machine.Cpu.ctxs;
-  Dpif.reset_measurement dp;
-  (match rt with Some rt -> Pmd.reset_stats rt | None -> ());
-  let tx_before = r.r_phy1.Netdev.stats.Netdev.tx_packets in
-  drive r cfg.measure;
-  let delivered = r.r_phy1.Netdev.stats.Netdev.tx_packets - tx_before in
-
-  let wall = Float.max (Cpu.wall machine) (Dpif.serialized_tx dp) in
-  let wall = Float.max wall 1. in
-  let raw_rate = float_of_int delivered /. wall *. 1e9 in
+  (* measure straight on from the warm-up, from zeroed clocks *)
+  reset ~fresh:false r;
+  let ph = phase r (default_arrival r) in
+  inject ph cfg.measure;
+  let l = ledger ph in
+  let wall = l.l_wall in
+  let raw_rate = rate_pps l in
   let line = Netdev.line_rate_pps r.r_phy0 ~frame_len:cfg.frame_len in
   let line_limited = raw_rate > line in
   let rate = Float.min raw_rate line in
@@ -727,7 +813,7 @@ let run (cfg : config) : result =
     rate_mpps = rate /. 1e6;
     wall_ns = wall;
     cpu;
-    packets = delivered;
+    packets = l.l_delivered;
     line_limited;
     pmds = (match rt with Some rt -> Pmd.reports ~wall rt | None -> []);
     busy_ns;
@@ -738,9 +824,9 @@ let run (cfg : config) : result =
 
 (** What {!run_chaos} measures: an unfaulted baseline phase, a faulted
     phase (plan armed, health monitor sweeping, drained to empty), and a
-    post-recovery phase on the same warm rig. Conservation is exact
-    bookkeeping over the faulted phase: every offered packet is either
-    delivered or in a drop counter, with nothing left in flight. *)
+    post-recovery phase on the same warm rig. Conservation is the faulted
+    phase's ledger: every offered packet is either delivered or in a
+    drop counter, with nothing left in flight. *)
 type chaos_result = {
   c_plan : string;
   c_baseline_mpps : float;
@@ -767,58 +853,20 @@ type chaos_result = {
 }
 
 let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
-  let cfg = { cfg with faults = Some plan } in
-  let r = setup cfg in
+  let r = warm cfg in
   let machine = r.r_machine and dp = r.r_dp in
-  let phy0 = r.r_phy0 and phy1 = r.r_phy1 in
-  (* Virtual wall time only advances through charges; a fault window that
-     stops all forwarding would otherwise never close. The chaos runner
-     models the generator as its own line-rate core: each offered packet
-     charges its wire time, and drain iterations that move nothing charge
-     an idle tick. Plain [run] never creates this context, so unfaulted
-     runs stay byte-identical. (A latency-armed rig already carries the
-     same context — its arrival clock doubles as the birth stamp.) *)
-  let loadgen =
-    match r.r_loadgen with Some lg -> lg | None -> Cpu.ctx machine "loadgen"
-  in
-  let pkt_ns = 1e9 /. Netdev.line_rate_pps phy0 ~frame_len:cfg.frame_len in
-  drive r cfg.warmup;
-  if cfg.ccache then
-    ignore
-      (Dpif.ccache_train dp (fun cat ns -> Cpu.charge r.r_sirq.(0) cat ns)
-        : Ovs_nmu.Ccache.train_stats option);
+  let arrival = clocked r in
 
   (* phase A: unfaulted baseline on the warm rig *)
-  let _, baseline_pps = measure_phase r cfg.measure in
+  let baseline_pps = measure_phase r cfg.measure in
 
-  (* phase B: the same traffic with the plan armed *)
-  quiesce r;
-  Pktgen.reset r.r_gen;
-  List.iter Cpu.reset machine.Cpu.ctxs;
-  Dpif.reset_measurement dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
+  (* phase B: the same traffic with the plan armed, line-rate clocked,
+     then drained until every window has closed, every queue is empty
+     and the monitor reports healthy *)
+  reset r;
   let health = Health.create ~dp ?rt:r.r_rt () in
   Faults.arm plan;
-  let tx0 = phy1.Netdev.stats.Netdev.tx_packets in
-  let rxd0 = phy0.Netdev.stats.Netdev.rx_dropped in
-  let vdev_rxd =
-    fun () ->
-      List.fold_left
-        (fun a (d, _) -> a + d.Netdev.stats.Netdev.rx_dropped)
-        0 r.r_vdevs
-  in
-  let vdev_rxd0 = vdev_rxd () in
-  let xsk_drops () =
-    match Dpif.xsks dp ~port_no:r.r_p0 with
-    | Some xs ->
-        Array.fold_left
-          (fun a x -> a + x.Xsk.rx_dropped_no_frame + x.Xsk.rx_dropped_ring_full)
-          0 xs
-    | None -> 0
-  in
-  let xsk0 = xsk_drops () in
-  let dp0 = (Dpif.counters dp).Dp_core.dropped in
-  let offered = ref 0 and pressure = ref 0 in
+  let ph = phase r arrival in
   let tick () =
     let now = Cpu.wall machine in
     let opened = Faults.tick now in
@@ -840,57 +888,26 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
       opened;
     ignore (Health.check health ~now : int)
   in
-  let injected = ref 0 in
-  while !injected < cfg.measure do
-    for _ = 1 to batch do
-      let pkt = Pktgen.next r.r_gen in
-      (match Faults.mutate () with
-      | Some (`Truncate frac) ->
-          pkt.Ovs_packet.Buffer.len <-
-            Int.max 4
-              (int_of_float (frac *. float_of_int pkt.Ovs_packet.Buffer.len))
-      | Some `Corrupt ->
-          (* clobber the ethertype: the frame stops being IP *)
-          Ovs_packet.Buffer.set_u8 pkt 12 0xff
-      | None -> ());
-      Cpu.charge loadgen Cpu.User pkt_ns;
-      (* birth on the arrival clock, stamped after mangling: a dropped
-         mangled packet must not leak its timestamp into the sketch *)
-      if cfg.latency then pkt.Ovs_packet.Buffer.birth_ns <- Cpu.busy loadgen;
-      let rxd_before = phy0.Netdev.stats.Netdev.rx_dropped in
-      if Netdev.rss_enqueue phy0 pkt then incr offered
-      else if phy0.Netdev.stats.Netdev.rx_dropped > rxd_before then
-        (* dropped-and-counted at the NIC: still offered *)
-        incr offered
-      else incr pressure;
-      incr injected
-    done;
-    tick ();
-    poll_sweep r
-  done;
-  (* drain: keep the clock moving until every window has closed, every
-     queue is empty and the monitor reports healthy *)
-  let iters = ref 0 in
-  while
-    (in_flight r > 0 || Faults.pending_windows ()
-   || not (Health.healthy health))
-    && !iters < 200_000
-  do
-    incr iters;
-    Cpu.charge loadgen Cpu.User (Time.us 1.);
-    tick ();
-    poll_sweep r
-  done;
-  let delivered = phy1.Netdev.stats.Netdev.tx_packets - tx0 in
-  let drops =
-    phy0.Netdev.stats.Netdev.rx_dropped - rxd0
-    + ((Dpif.counters dp).Dp_core.dropped - dp0)
-    + (xsk_drops () - xsk0)
-    + (vdev_rxd () - vdev_rxd0)
+  let mangle (pkt : Ovs_packet.Buffer.t) =
+    match Faults.mutate () with
+    | Some (`Truncate frac) ->
+        pkt.Ovs_packet.Buffer.len <-
+          Int.max 4
+            (int_of_float (frac *. float_of_int pkt.Ovs_packet.Buffer.len))
+    | Some `Corrupt ->
+        (* clobber the ethertype: the frame stops being IP *)
+        Ovs_packet.Buffer.set_u8 pkt 12 0xff
+    | None -> ()
   in
-  let infl = in_flight r in
-  let wall_b = Float.max (Cpu.wall machine) 1. in
-  let faulted_pps = float_of_int delivered /. wall_b *. 1e9 in
+  inject ph cfg.measure ~mangle ~before:tick;
+  drain r ?idle:ph.clock ~before:tick ~pending:(fun () ->
+      in_flight r > 0 || Faults.pending_windows ()
+      || not (Health.healthy health));
+  let l = ledger ph in
+  (* the faulted phase's wall leaves out the egress serialization floor *)
+  let faulted_pps =
+    float_of_int l.l_delivered /. Float.max (Cpu.wall machine) 1. *. 1e9
+  in
   let restarts =
     match r.r_rt with
     | Some rt -> List.fold_left (fun a p -> a + Pmd.restarts p) 0 (Pmd.pmds rt)
@@ -904,18 +921,18 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
   Faults.disarm ();
 
   (* phase C: post-recovery, unfaulted again *)
-  let _, post_pps = measure_phase r cfg.measure in
+  let post_pps = measure_phase r cfg.measure in
   {
     c_plan = plan.Faults.p_name;
     c_baseline_mpps = baseline_pps /. 1e6;
     c_faulted_mpps = faulted_pps /. 1e6;
     c_post_mpps = post_pps /. 1e6;
-    c_offered = !offered;
-    c_delivered = delivered;
-    c_drops = drops;
-    c_pressure_rejects = !pressure;
-    c_in_flight = infl;
-    c_conserved = !offered = delivered + drops && infl = 0;
+    c_offered = l.l_offered;
+    c_delivered = l.l_delivered;
+    c_drops = l.l_drops;
+    c_pressure_rejects = l.l_pressure;
+    c_in_flight = l.l_in_flight;
+    c_conserved = conserved l;
     c_recovery_ns = Health.last_recovery health;
     c_restarts = restarts;
     c_repairs = Health.repairs health;
@@ -947,11 +964,10 @@ type churn_event = {
 
 (** One reconfiguration run: [cfg.measure] packets offered while the
     plan's events fire on the virtual clock. Conservation is the same
-    exact bookkeeping as {!run_chaos}, with one addition: [rc_vanished]
-    counts packets that are neither delivered nor in any drop counter —
-    table-miss packets translated against an incomplete classifier emit
-    no actions and vanish uncounted, which is precisely the naive swap's
-    loss window. A hitless run has [rc_vanished = 0] and conserves. *)
+    ledger as {!run_chaos}, read for its vanished term: table-miss
+    packets translated against an incomplete classifier emit no actions
+    and vanish uncounted, which is precisely the naive swap's loss
+    window. A hitless run has [rc_vanished = 0] and conserves. *)
 type reconfig_result = {
   rc_plan : string;
   rc_leg : string;
@@ -972,20 +988,6 @@ type reconfig_result = {
   rc_p99_ns : float;
 }
 
-(* Everything recorded when a swap begins, so its report can be settled
-   exactly once the run has drained (in-flight = 0). *)
-type swap_mark = {
-  m_style : Reconfig.swap_style;
-  m_w0 : Time.ns;
-  m_off0 : int;
-  m_del0 : int;
-  m_drops0 : int;
-  m_ups0 : int;
-  m_shadow_rules : int;
-  m_mods : int;
-  m_evicted : int;
-}
-
 (** Apply [plan] against a running rig while traffic flows. Every rule
     change rides the wire (OVSDB rows -> FLOW_MOD bytes -> {!Ofconn});
     the incremental revalidator is armed and checked against the
@@ -994,24 +996,15 @@ type swap_mark = {
     replacement adds — the loss window the two-phase path closes. *)
 let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     reconfig_result =
-  let r = setup cfg in
+  let r = warm cfg in
   let machine = r.r_machine and dp = r.r_dp in
-  let phy0 = r.r_phy0 and phy1 = r.r_phy1 in
   (* the generator is its own line-rate core, exactly as in run_chaos:
      virtual wall time must advance even when forwarding stalls *)
-  let loadgen =
-    match r.r_loadgen with Some lg -> lg | None -> Cpu.ctx machine "loadgen"
-  in
-  let pkt_ns = 1e9 /. Netdev.line_rate_pps phy0 ~frame_len:cfg.frame_len in
-  drive r cfg.warmup;
+  let arrival = clocked r in
   Dpif.set_revalidator_enabled dp true;
 
   (* the churn phase starts from a clean slate *)
-  quiesce r;
-  Pktgen.reset r.r_gen;
-  List.iter Cpu.reset machine.Cpu.ctxs;
-  Dpif.reset_measurement dp;
-  (match r.r_rt with Some rt -> Pmd.reset_stats rt | None -> ());
+  reset r;
 
   (* the plan rides the management channel: stored as one OVSDB
      transaction, then read back row by row — the switch never sees the
@@ -1021,37 +1014,13 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
   let ovsdb_rows = Ovs_ovsdb.Db.row_count db ~table:"Churn_op" in
   let plan = Reconfig.load_plan db ~name:plan.Reconfig.plan_name in
 
-  let tx () = phy1.Netdev.stats.Netdev.tx_packets in
+  let ph = phase r arrival in
+  let tx () = r.r_phy1.Netdev.stats.Netdev.tx_packets in
   let ups () = (Dpif.counters dp).Dp_core.upcalls in
-  let xsk_drops () =
-    match Dpif.xsks dp ~port_no:r.r_p0 with
-    | Some xs ->
-        Array.fold_left
-          (fun a x -> a + x.Xsk.rx_dropped_no_frame + x.Xsk.rx_dropped_ring_full)
-          0 xs
-    | None -> 0
-  in
-  let vdev_rxd () =
-    List.fold_left
-      (fun a (d, _) -> a + d.Netdev.stats.Netdev.rx_dropped)
-      0 r.r_vdevs
-  in
-  let tx0 = tx () in
-  let rxd0 = phy0.Netdev.stats.Netdev.rx_dropped in
-  let xsk0 = xsk_drops () in
-  let dp0 = (Dpif.counters dp).Dp_core.dropped in
-  let vdev0 = vdev_rxd () in
-  let drops () =
-    phy0.Netdev.stats.Netdev.rx_dropped - rxd0
-    + ((Dpif.counters dp).Dp_core.dropped - dp0)
-    + (xsk_drops () - xsk0)
-    + (vdev_rxd () - vdev0)
-  in
-
-  let offered = ref 0 and injected = ref 0 in
-  let flow_mods = ref 0 and divergences = ref 0 in
-  let events = ref [] and burst_mark = ref None in
-  let marks = ref None and rec_pending = ref None and recovery = ref 0. in
+  let events = ref [] in
+  let rec_pending = ref None and recovery = ref 0. in
+  (* the last swap's bill, settled from the final ledger once drained *)
+  let upgrade = ref (fun (_ : ledger) -> None) in
 
   (* recovery probe: the first delivery after a swap's new table set is
      in place closes the measured outage *)
@@ -1062,33 +1031,13 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
         rec_pending := None
     | _ -> ()
   in
-  let inject n =
-    let stop = !injected + n in
-    while !injected < stop do
-      let m = Int.min batch (stop - !injected) in
-      for _ = 1 to m do
-        let pkt = Pktgen.next r.r_gen in
-        Cpu.charge loadgen Cpu.User pkt_ns;
-        if cfg.latency then pkt.Ovs_packet.Buffer.birth_ns <- Cpu.busy loadgen;
-        ignore (Netdev.rss_enqueue phy0 pkt : bool);
-        (* under Rx_drop a refused packet is a counted rx drop: offered
-           either way, and the drop term balances the books *)
-        incr offered;
-        incr injected
-      done;
-      Engine_vt.note_offered r.r_eng m;
-      poll_sweep r;
-      probe_recovery ()
-    done
-  in
 
-  (* close the previous event's upcall-burst window *)
+  (* close the latest event's upcall-burst window: until the next event
+     (or the end of the run) its [e_upcalls] holds the count at its start *)
   let close_burst () =
-    match (!burst_mark, !events) with
-    | Some u0, e :: rest ->
-        events := { e with e_upcalls = ups () - u0 } :: rest;
-        burst_mark := None
-    | _ -> ()
+    match !events with
+    | e :: rest -> events := { e with e_upcalls = ups () - e.e_upcalls } :: rest
+    | [] -> ()
   in
   let reval_cum () =
     match Dpif.revalidator_stats dp with
@@ -1117,79 +1066,64 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
     end;
     List.iter
       (function
-        | Reconfig.Swap { swap_style = Reconfig.Two_phase; swap_flows } ->
-            label := "swap two-phase";
-            let w0 = Cpu.wall machine in
-            let m0 =
-              {
-                m_style = Reconfig.Two_phase;
-                m_w0 = w0;
-                m_off0 = !offered;
-                m_del0 = tx () - tx0;
-                m_drops0 = drops ();
-                m_ups0 = ups ();
-                m_shadow_rules = 0;
-                m_mods = 0;
-                m_evicted = 0;
-              }
+        | Reconfig.Swap { swap_style; swap_flows } ->
+            let w0 = Cpu.wall machine and at = ledger ph and u0 = ups () in
+            let shadow_rules, mods, ev_evicted, div =
+              match swap_style with
+              | Reconfig.Two_phase ->
+                  label := "swap two-phase";
+                  (* phase 1: populate the complete shadow off to the
+                     side — the live classifier serves traffic untouched
+                     meanwhile *)
+                  let shadow, smods =
+                    Reconfig.build_shadow ~like:(Dpif.pipeline dp) swap_flows
+                  in
+                  (* phase 2: one pointer store + megaflow revalidation *)
+                  let ev = Dpif.swap_pipeline dp shadow in
+                  (Ovs_ofproto.Pipeline.flow_count shadow, smods, ev, 0)
+              | Reconfig.Naive ->
+                  label := "swap naive";
+                  (* in-place: delete everything, revalidate (storm #1 —
+                     the cache follows the now-empty tables), let traffic
+                     run into the hole, then install the replacement and
+                     revalidate again (storm #2 evicts the drop-cached
+                     misses) *)
+                  let conn = Ofconn.create ~pipeline:(Dpif.pipeline dp) () in
+                  let dm = Reconfig.apply_ops conn [ Reconfig.Delete "" ] in
+                  let _, ev1, div1 = Dpif.revalidate_check dp in
+                  inject ph ~after:probe_recovery
+                    (Int.min (ph.injected + naive_window) cfg.measure);
+                  let am =
+                    Reconfig.apply_ops conn
+                      (List.map (fun l -> Reconfig.Insert l) swap_flows)
+                  in
+                  let _, ev2, div2 = Dpif.revalidate_check dp in
+                  (0, dm + am, ev1 + ev2, div1 + div2)
             in
-            (* phase 1: populate the complete shadow off to the side —
-               the live classifier serves traffic untouched meanwhile *)
-            let shadow, smods =
-              Reconfig.build_shadow ~like:(Dpif.pipeline dp) swap_flows
-            in
-            (* phase 2: one pointer store + megaflow revalidation *)
-            let ev_evicted = Dpif.swap_pipeline dp shadow in
-            n_mods := !n_mods + smods;
+            n_mods := !n_mods + mods;
             evicted := !evicted + ev_evicted;
-            marks :=
-              Some
-                {
-                  m0 with
-                  m_shadow_rules = Ovs_ofproto.Pipeline.flow_count shadow;
-                  m_mods = smods;
-                  m_evicted = ev_evicted;
-                };
-            rec_pending := Some (w0, tx ())
-        | Reconfig.Swap { swap_style = Reconfig.Naive; swap_flows } ->
-            label := "swap naive";
-            let w0 = Cpu.wall machine in
-            let m0 =
-              {
-                m_style = Reconfig.Naive;
-                m_w0 = w0;
-                m_off0 = !offered;
-                m_del0 = tx () - tx0;
-                m_drops0 = drops ();
-                m_ups0 = ups ();
-                m_shadow_rules = 0;
-                m_mods = 0;
-                m_evicted = 0;
-              }
-            in
-            (* in-place: delete everything, revalidate (storm #1 — the
-               cache follows the now-empty tables), let traffic run into
-               the hole, then install the replacement and revalidate
-               again (storm #2 evicts the drop-cached misses) *)
-            let conn = Ofconn.create ~pipeline:(Dpif.pipeline dp) () in
-            let dm = Reconfig.apply_ops conn [ Reconfig.Delete "" ] in
-            let _, ev1, div1 = Dpif.revalidate_check dp in
-            inject (Int.min naive_window (Int.max 0 (cfg.measure - !injected)));
-            let am =
-              Reconfig.apply_ops conn
-                (List.map (fun l -> Reconfig.Insert l) swap_flows)
-            in
-            let _, ev2, div2 = Dpif.revalidate_check dp in
-            n_mods := !n_mods + dm + am;
-            evicted := !evicted + ev1 + ev2;
-            divs := !divs + div1 + div2;
-            marks := Some { m0 with m_mods = dm + am; m_evicted = ev1 + ev2 };
+            divs := !divs + div;
+            (upgrade :=
+               fun l ->
+                 let w_off = l.l_offered - at.l_offered in
+                 let w_del = l.l_delivered - at.l_delivered in
+                 Some
+                   {
+                     Reconfig.up_style = swap_style;
+                     up_leg = Dpif.kind_name cfg.kind;
+                     up_shadow_rules = shadow_rules;
+                     up_flow_mods = mods;
+                     up_evicted = ev_evicted;
+                     up_upcall_burst = ups () - u0;
+                     up_offered = w_off;
+                     up_delivered = w_del;
+                     up_lost = w_off - w_del - (l.l_drops - at.l_drops);
+                     up_recovery_ns = !recovery;
+                   });
             rec_pending := Some (w0, tx ())
         | _ -> ())
       swaps;
     let d1, rt1, _ = reval_cum () in
-    flow_mods := !flow_mods + !n_mods;
-    divergences := !divergences + !divs;
     events :=
       {
         e_at_s = ev.Reconfig.at_s;
@@ -1200,10 +1134,9 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
         e_retx = Int.max 0 (rt1 - rt0);
         e_evicted = !evicted;
         e_divergences = !divs;
-        e_upcalls = 0;  (* settled by close_burst at the next event *)
+        e_upcalls = u_start;  (* settled by close_burst *)
       }
-      :: !events;
-    burst_mark := Some u_start
+      :: !events
   in
 
   let pending = ref plan.Reconfig.events in
@@ -1215,69 +1148,36 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
         true
     | _ -> false
   in
-  while !injected < cfg.measure do
-    inject (Int.min batch (cfg.measure - !injected));
-    while fire_due () do () done
-  done;
+  inject ph cfg.measure ~after:(fun () ->
+      probe_recovery ();
+      while fire_due () do () done);
   (* drain: events past the traffic tail still fire on the idle clock *)
-  let iters = ref 0 in
-  while (!pending <> [] || in_flight r > 0) && !iters < 200_000 do
-    incr iters;
-    Cpu.charge loadgen Cpu.User (Time.us 1.);
-    ignore (fire_due () : bool);
-    poll_sweep r;
-    probe_recovery ()
-  done;
+  drain r ?idle:ph.clock
+    ~before:(fun () -> ignore (fire_due () : bool))
+    ~after:probe_recovery
+    ~pending:(fun () -> !pending <> [] || in_flight r > 0);
   close_burst ();
   (* a swap that never saw a post-cutover delivery charges the whole
      remaining run as its outage *)
-  (match !rec_pending with
-  | Some (w0, _) ->
-      recovery := Cpu.wall machine -. w0;
-      rec_pending := None
-  | None -> ());
+  Option.iter (fun (w0, _) -> recovery := Cpu.wall machine -. w0) !rec_pending;
 
-  let delivered = tx () - tx0 in
-  let total_drops = drops () in
-  let infl = in_flight r in
-  let vanished = !offered - delivered - total_drops - infl in
-  let upgrade =
-    match !marks with
-    | None -> None
-    | Some m ->
-        let w_off = !offered - m.m_off0 in
-        let w_del = delivered - m.m_del0 in
-        let w_drops = total_drops - m.m_drops0 in
-        Some
-          {
-            Reconfig.up_style = m.m_style;
-            up_leg = Dpif.kind_name cfg.kind;
-            up_shadow_rules = m.m_shadow_rules;
-            up_flow_mods = m.m_mods;
-            up_evicted = m.m_evicted;
-            up_upcall_burst = ups () - m.m_ups0;
-            up_offered = w_off;
-            up_delivered = w_del;
-            up_lost = w_off - w_del - w_drops;
-            up_recovery_ns = !recovery;
-          }
-  in
+  let l = ledger ph in
   let lat = Dpif.latency dp in
   {
     rc_plan = plan.Reconfig.plan_name;
     rc_leg = Dpif.kind_name cfg.kind;
-    rc_offered = !offered;
-    rc_delivered = delivered;
-    rc_drops = total_drops;
-    rc_vanished = vanished;
-    rc_in_flight = infl;
-    rc_conserved = (!offered = delivered + total_drops) && infl = 0;
+    rc_offered = l.l_offered;
+    rc_delivered = l.l_delivered;
+    rc_drops = l.l_drops;
+    rc_vanished = l.l_vanished;
+    rc_in_flight = l.l_in_flight;
+    rc_conserved = conserved l;
     rc_events = List.rev !events;
-    rc_flow_mods = !flow_mods;
+    rc_flow_mods = List.fold_left (fun a e -> a + e.e_flow_mods) 0 !events;
     rc_ovsdb_rows = ovsdb_rows;
-    rc_divergences = !divergences;
+    rc_divergences = List.fold_left (fun a e -> a + e.e_divergences) 0 !events;
     rc_upcalls = ups ();
-    rc_upgrade = upgrade;
+    rc_upgrade = !upgrade l;
     rc_lat_count =
       (if cfg.latency then Ovs_sim.Quantiles.count lat else -1);
     rc_p50_ns = (if cfg.latency then Ovs_sim.Quantiles.p50 lat else 0.);
@@ -1297,9 +1197,6 @@ let run_reconfig ?(naive_window = 512) (cfg : config) (plan : Reconfig.plan) :
 let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     ~(flows_before : string list) ~(flows_after : string list) () :
     Engine.stats * string list * int =
-  (match cfg.topology with
-  | P2P -> ()
-  | _ -> invalid_arg "Scenario.run_reconfig_multicore: only P2P");
   let wire_pipeline flows =
     let like = Ovs_ofproto.Pipeline.create ~n_tables:4 () in
     Ovs_ofproto.Pipeline.set_ports like [ 0; 1 ];
@@ -1307,27 +1204,12 @@ let run_reconfig_multicore ?(n_domains = 2) (cfg : config)
     p
   in
   let live = Atomic.make (wire_pipeline flows_before) in
-  let gen =
-    Pktgen.create ~mix:cfg.mix ~n_flows:cfg.n_flows ~frame_len:cfg.frame_len ()
-  in
-  let templates =
-    Array.map
-      (fun (b : Ovs_packet.Buffer.t) ->
-        Bytes.sub b.Ovs_packet.Buffer.data b.Ovs_packet.Buffer.start
-          b.Ovs_packet.Buffer.len)
-      gen.Pktgen.templates
-  in
   let translate key =
     (Ovs_ofproto.Pipeline.translate (Atomic.get live) key)
       .Ovs_ofproto.Pipeline.odp_actions
     <> []
   in
-  let ecfg =
-    Engine_domains.config ~n_domains ~frame_len:cfg.frame_len
-      ~target:cfg.measure ~upcall_capacity:cfg.upcall_capacity ~oracles:true
-      ~translate ~templates ()
-  in
-  let eng = Engine_domains.create ecfg in
+  let eng = domains_engine ~oracles:true ~translate cfg ~n_domains in
   let cut_at = cfg.measure / 2 in
   Engine_domains.start eng;
   let seen = ref 0 and spins = ref 0 in

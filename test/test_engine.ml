@@ -388,13 +388,6 @@ let domains_smoke ~n_domains () =
     (n_domains + 2)
     (List.length stats.Engine.s_units_detail)
 
-let domains_via_run () =
-  let r =
-    Scenario.run (Scenario.config ~n_flows:8 ~measure:10_000 ~engine:(`Domains 2) ())
-  in
-  check Alcotest.bool "run dispatches to the domains engine" true
-    (r.Scenario.packets > 0 && r.Scenario.rate_mpps > 0.)
-
 let () =
   Alcotest.run "ovs_engine"
     [
@@ -436,6 +429,5 @@ let () =
           Alcotest.test_case "2 domains, oracles" `Quick (domains_smoke ~n_domains:2);
           Alcotest.test_case "4 domains, oracles" `Quick (domains_smoke ~n_domains:4);
           Alcotest.test_case "8 domains, oracles" `Quick (domains_smoke ~n_domains:8);
-          Alcotest.test_case "via Scenario.run" `Quick domains_via_run;
         ] );
     ]
