@@ -904,10 +904,6 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
       in_flight r > 0 || Faults.pending_windows ()
       || not (Health.healthy health));
   let l = ledger ph in
-  (* the faulted phase's wall leaves out the egress serialization floor *)
-  let faulted_pps =
-    float_of_int l.l_delivered /. Float.max (Cpu.wall machine) 1. *. 1e9
-  in
   let restarts =
     match r.r_rt with
     | Some rt -> List.fold_left (fun a p -> a + Pmd.restarts p) 0 (Pmd.pmds rt)
@@ -925,7 +921,7 @@ let run_chaos (cfg : config) (plan : Faults.plan) : chaos_result =
   {
     c_plan = plan.Faults.p_name;
     c_baseline_mpps = baseline_pps /. 1e6;
-    c_faulted_mpps = faulted_pps /. 1e6;
+    c_faulted_mpps = rate_pps l /. 1e6;
     c_post_mpps = post_pps /. 1e6;
     c_offered = l.l_offered;
     c_delivered = l.l_delivered;

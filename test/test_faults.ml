@@ -184,6 +184,17 @@ let check_plan name leg () =
   Alcotest.(check bool) "the plan actually fired" true
     (List.exists (fun (_, n) -> n > 0) c.Scenario.c_fired)
 
+(* A stalled rx queue cannot make a leg faster than its unfaulted
+   baseline: the faulted phase's rate must read the same wall as every
+   other phase, egress serialization floor included. *)
+let stall_never_beats_baseline () =
+  let c = (Chaos.run_one (chaos_spec "rxq_stall") Chaos.Kernel_leg).Chaos.row_res in
+  Alcotest.(check bool)
+    (Printf.sprintf "rxq_stall/kernel: faulted %.6f <= baseline %.6f Mpps"
+       c.Scenario.c_faulted_mpps c.Scenario.c_baseline_mpps)
+    true
+    (c.Scenario.c_faulted_mpps <= c.Scenario.c_baseline_mpps *. (1. +. 1e-9))
+
 (* -- PMD crash + restart re-installs the same megaflow population -- *)
 
 let strip line =
@@ -311,6 +322,8 @@ let () =
             (check_plan "ct_pressure" Chaos.Afxdp_leg);
           Alcotest.test_case "pmd_crash pmd" `Slow
             (check_plan "pmd_crash" Chaos.Pmd_leg);
+          Alcotest.test_case "rxq_stall kernel never beats baseline" `Quick
+            stall_never_beats_baseline;
         ] );
       ( "resilience",
         [
