@@ -472,35 +472,6 @@ let evict_to_limit t ~zone ~limit =
     List.length victims
   end
 
-(** Enforce one zone limit across several conntrack instances — the
-    per-PMD sharding story, where each PMD domain owns a private table
-    but nf_conncount semantics are per zone, not per PMD. Victims are
-    the globally oldest connections regardless of which instance holds
-    them. Returns the total evicted. *)
-let evict_to_limit_multi ts ~zone ~limit =
-  let total = List.fold_left (fun acc t -> acc + zone_count t ~zone) 0 ts in
-  let excess = total - limit in
-  if excess <= 0 then 0
-  else begin
-    let candidates = ref [] in
-    List.iter
-      (fun t ->
-        iter_conns t (fun conn ->
-            if conn.orig.zone = zone then candidates := (t, conn) :: !candidates))
-      ts;
-    let victims =
-      List.sort
-        (fun (_, a) (_, b) ->
-          match compare a.created_at b.created_at with
-          | 0 -> compare a.orig b.orig
-          | c -> c)
-        !candidates
-      |> List.filteri (fun i _ -> i < excess)
-    in
-    List.iter (fun (t, conn) -> remove_conn t conn) victims;
-    List.length victims
-  end
-
 (** Resumable bounded expiry: examine at least [budget] directional
     entries' worth of buckets (an empty bucket costs 1, so progress is
     guaranteed), starting from where the previous call stopped, and

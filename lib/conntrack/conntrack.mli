@@ -107,10 +107,4 @@ val evict_to_limit : t -> zone:int -> limit:int -> int
     pressure; the [Ct_pressure] fault's window-open side effect.
     Returns the number evicted. *)
 
-val evict_to_limit_multi : t list -> zone:int -> limit:int -> int
-(** {!evict_to_limit} across several conntrack instances at once (the
-    per-PMD private-table layout): victims are the globally oldest
-    connections in [zone] regardless of owning instance. Returns the
-    total evicted. *)
-
 val timeout_of : proto_state -> Ovs_sim.Time.ns

@@ -1,26 +1,14 @@
-(** The execution-engine abstraction: {e how} the PMD dataplane runs,
-    separated from {e what} it runs.
+(** The readout every execution engine reports: {e how} the PMD
+    dataplane runs is separated from {e what} it runs.
 
-    Two implementations share this interface:
+    Two engines share this readout:
     - {!Engine_vt} — the virtual-time scheduler the simulator has always
       used: one OS thread, per-context charged nanoseconds, deterministic
       to the byte. The schedule explorer ([lib/mc]) builds on its private
       step API.
     - {!Engine_domains} — real parallelism: each PMD context is an OCaml
       [Domain.t], rings carry [Atomic.t] SPSC cursors, the umempool takes
-      a real [Mutex.t], and throughput is wall-clock Mpps.
-
-    Callers hold a {!handle} (a first-class module packed with its state)
-    and drive it through {!start}/{!step}/{!stop}/{!stats}; which engine
-    is behind the handle is a configuration choice ({!mode}). *)
-
-type mode = [ `Vt  (** virtual time, single thread *) | `Domains of int ]
-(** [`Domains n] runs [n] PMD domains (plus an injector and a
-    revalidator domain). *)
-
-let mode_name = function
-  | `Vt -> "vt"
-  | `Domains n -> Printf.sprintf "domains:%d" n
+      a real [Mutex.t], and throughput is wall-clock Mpps. *)
 
 (** Per-execution-unit load readout: a PMD context's (or domain's) share
     of the work. *)
@@ -28,7 +16,8 @@ type unit_load = {
   ul_name : string;
   ul_packets : int;
   ul_busy_ns : float;
-      (** charged virtual ns ([`Vt]) or measured wall ns ([`Domains]) *)
+      (** charged virtual ns ({!Engine_vt}) or measured wall ns
+          ({!Engine_domains}) *)
 }
 
 type stats = {
@@ -39,40 +28,16 @@ type stats = {
   s_dropped : int;
   s_upcalls : int;
   s_wall_ns : float;
-      (** virtual wall (bottleneck context) for [`Vt]; real elapsed
-          wall-clock for [`Domains] *)
+      (** virtual wall (bottleneck context) for {!Engine_vt}; real
+          elapsed wall-clock for {!Engine_domains} *)
   s_mpps : float;  (** delivered over [s_wall_ns] *)
   s_units_detail : unit_load list;
   s_latency : Ovs_sim.Quantiles.t option;
       (** per-packet sojourn-time sketch when latency measurement was
-          armed (virtual ns under [`Vt], wall ns under [`Domains];
-          per-domain sketches are merged into one on stop) *)
+          armed (virtual ns under {!Engine_vt}, wall ns under
+          {!Engine_domains}; per-domain sketches are merged into one on
+          stop) *)
 }
 
 let mpps ~delivered ~wall_ns =
   if wall_ns <= 0. then 0. else float_of_int delivered /. wall_ns *. 1e3
-
-(** What every engine implements. [start] arms the engine (spawns domains
-    in the parallel implementation; a no-op in virtual time). [step]
-    advances it — one poll sweep in virtual time, a progress probe under
-    domains (which run on their own) — returning packets newly processed.
-    [stop] quiesces, joins workers, and returns final stats. *)
-module type S = sig
-  type t
-
-  val name : string
-  val start : t -> unit
-  val step : t -> int
-  val stats : t -> stats
-  val stop : t -> stats
-end
-
-(** An engine packed with its state — the handle callers drive without
-    knowing which implementation is behind it. *)
-type handle = Handle : (module S with type t = 'a) * 'a -> handle
-
-let name (Handle ((module E), _)) = E.name
-let start (Handle ((module E), t)) = E.start t
-let step (Handle ((module E), t)) = E.step t
-let stats (Handle ((module E), t)) = E.stats t
-let stop (Handle ((module E), t)) = E.stop t

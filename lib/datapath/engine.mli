@@ -1,23 +1,16 @@
-(** The execution-engine abstraction: {e how} the PMD dataplane runs,
-    separated from {e what} it runs. Two implementations share it —
-    {!Engine_vt} (the deterministic virtual-time scheduler; the schedule
-    explorer's substrate) and {!Engine_domains} (real parallelism on
-    OCaml domains, measured in wall-clock Mpps). Callers select one via
-    {!mode} and drive it through a {!handle} without knowing which is
-    behind it. *)
-
-type mode = [ `Vt  (** virtual time, single thread *) | `Domains of int ]
-(** [`Domains n] runs [n] PMD domains (plus an injector and a
-    revalidator domain). *)
-
-val mode_name : mode -> string
+(** The readout every execution engine reports. Two engines run the PMD
+    dataplane — {!Engine_vt} (the deterministic virtual-time scheduler;
+    the schedule explorer's substrate) and {!Engine_domains} (real
+    parallelism on OCaml domains, measured in wall-clock Mpps) — and
+    both summarize a run as {!stats}. *)
 
 (** Per-execution-unit load readout. *)
 type unit_load = {
   ul_name : string;
   ul_packets : int;
   ul_busy_ns : float;
-      (** charged virtual ns ([`Vt]) or measured wall ns ([`Domains]) *)
+      (** charged virtual ns ({!Engine_vt}) or measured wall ns
+          ({!Engine_domains}) *)
 }
 
 type stats = {
@@ -28,37 +21,16 @@ type stats = {
   s_dropped : int;
   s_upcalls : int;
   s_wall_ns : float;
-      (** virtual wall (bottleneck context) for [`Vt]; real elapsed
-          wall-clock for [`Domains] *)
+      (** virtual wall (bottleneck context) for {!Engine_vt}; real
+          elapsed wall-clock for {!Engine_domains} *)
   s_mpps : float;
   s_units_detail : unit_load list;
   s_latency : Ovs_sim.Quantiles.t option;
       (** per-packet sojourn-time sketch when latency measurement was
-          armed (virtual ns under [`Vt], wall ns under [`Domains];
-          per-domain sketches are merged into one on stop) *)
+          armed (virtual ns under {!Engine_vt}, wall ns under
+          {!Engine_domains}; per-domain sketches are merged into one on
+          stop) *)
 }
 
 val mpps : delivered:int -> wall_ns:float -> float
 (** Delivered packets over nanoseconds, in millions per second. *)
-
-(** What every engine implements: [start] arms it, [step] advances it
-    (returning packets newly processed), [stop] quiesces and returns
-    final stats. *)
-module type S = sig
-  type t
-
-  val name : string
-  val start : t -> unit
-  val step : t -> int
-  val stats : t -> stats
-  val stop : t -> stats
-end
-
-(** An engine packed with its state. *)
-type handle = Handle : (module S with type t = 'a) * 'a -> handle
-
-val name : handle -> string
-val start : handle -> unit
-val step : handle -> int
-val stats : handle -> stats
-val stop : handle -> stats

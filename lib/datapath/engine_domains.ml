@@ -62,19 +62,6 @@ module FK = Ovs_packet.Flow_key
 module Buffer = Ovs_packet.Buffer
 module Coverage = Ovs_sim.Coverage
 
-(** Per-PMD connection tracking: each PMD domain owns a private
-    [Conntrack.t] (no locks on the hit path — only its domain ever
-    touches it) and amortizes expiry with a bounded cursor sweep every
-    poll iteration. The per-zone limit, an nf_conncount property of
-    the whole switch rather than one PMD, is enforced across the
-    private tables with {!Ovs_conntrack.Conntrack.evict_to_limit_multi}
-    at stop. *)
-type ct_opts = {
-  ct_zone : int;
-  ct_limit : int option;  (** enforced cross-shard at stop *)
-  ct_sweep_budget : int;  (** entries examined per poll iteration *)
-}
-
 type config = {
   n_domains : int;  (** PMD domains (an injector and a revalidator ride along) *)
   templates : Bytes.t array;
@@ -94,21 +81,18 @@ type config = {
           record per-packet sojourn times into per-domain sketches *)
   translate : FK.t -> bool;
       (** the slow path's verdict for a missed flow: forward or drop *)
-  ct : ct_opts option;
-      (** arm per-PMD connection tracking; [None] (default) creates no
-          tables and adds no per-packet work *)
 }
 
 let config ?(n_domains = 2) ?(frame_len = 64) ?(target = 100_000)
     ?(batch = 32) ?(lock = Umempool.Spinlock_batched) ?(frames_per_queue = 2048)
     ?(ring_size = 1024) ?(upcall_capacity = 512) ?(emc_entries = 8192)
     ?(oracles = false) ?(latency = false) ?(translate = fun _ -> true)
-    ?ct ~templates () =
+    ~templates () =
   if n_domains < 1 then invalid_arg "Engine_domains.config: n_domains < 1";
   if Array.length templates = 0 then
     invalid_arg "Engine_domains.config: no templates";
   { n_domains; templates; frame_len; target; batch; lock; frames_per_queue;
-    ring_size; upcall_capacity; emc_entries; oracles; latency; translate; ct }
+    ring_size; upcall_capacity; emc_entries; oracles; latency; translate }
 
 (* Owner-written worker counters, read by the main domain after join. *)
 type wstats = {
@@ -141,10 +125,6 @@ type t = {
   pmd_done : bool Atomic.t array;
   viol_mu : Mutex.t;
   mutable violations : string list;
-  cts : Ovs_conntrack.Conntrack.t array;
-      (** per-PMD private connection tables (length [n_domains] when
-          [cfg.ct] is armed, empty otherwise): each is created here but
-          only ever touched by its owning PMD domain while it runs *)
   ws : wstats array;  (** PMDs 0..n-1, revalidator n, injector n+1 *)
   lat : Ovs_sim.Quantiles.t array;
       (** per-domain sojourn sketches (PMDs 0..n-1, revalidator n):
@@ -173,13 +153,6 @@ let violations t =
   let v = List.rev t.violations in
   Mutex.unlock t.viol_mu;
   v
-
-(* Total tracked connections across the per-PMD tables. Exact after
-   stop (every owning domain joined); a racy progress probe before. *)
-let ct_conns t =
-  Array.fold_left
-    (fun acc c -> acc + Ovs_conntrack.Conntrack.active_conns c)
-    0 t.cts
 
 let create (cfg : config) : t =
   let n = cfg.n_domains in
@@ -237,11 +210,6 @@ let create (cfg : config) : t =
     pmd_done = Array.init n (fun _ -> Atomic.make false);
     viol_mu = Mutex.create ();
     violations = [];
-    cts =
-      (match cfg.ct with
-      | Some _ ->
-          Array.init n (fun _ -> Ovs_conntrack.Conntrack.create ())
-      | None -> [||]);
     ws;
     lat = Array.init (n + 1) (fun _ -> Ovs_sim.Quantiles.create ());
     workers = [];
@@ -355,9 +323,6 @@ let pmd_body t k () =
   let xsk = t.ing_xsks.(k) in
   let egr = t.egr_xsks.(k) in
   let emc : bool Emc.t = Emc.create ~entries:cfg.emc_entries () in
-  (* this PMD's private connection table: no locks on the hit path —
-     nothing else reads it until the domain has been joined *)
-  let ct = match cfg.ct with Some _ -> Some t.cts.(k) | None -> None in
   let rx_cons = ref (Ring.cons_idx xsk.Xsk.rx) in
   Xsk.set_owner xsk ~pmd:k;
   ignore (Xsk.refill xsk 0 : int);
@@ -395,29 +360,9 @@ let pmd_body t k () =
         ws.w_packets <- ws.w_packets + consumed;
         let recycle = ref [] in
         let delivered = ref 0 and dropped = ref 0 and upcalled = ref 0 in
-        (* amortized expiry: one bounded cursor sweep per poll
-           iteration, fixed work regardless of table size *)
-        (match (ct, cfg.ct) with
-        | Some c, Some opts ->
-            ignore
-              (Ovs_conntrack.Conntrack.sweep_bounded c ~now:(now_ns ())
-                 ~budget:opts.ct_sweep_budget)
-        | _ -> ());
         List.iter
           (fun (frame, (buf : Buffer.t)) ->
             let key = FK.extract buf in
-            (match (ct, cfg.ct) with
-            | Some c, Some opts ->
-                let now = now_ns () in
-                let v =
-                  Ovs_conntrack.Conntrack.track ~buf c ~now
-                    ~zone:opts.ct_zone key
-                in
-                if v.Ovs_conntrack.Conntrack.conn = None then
-                  ignore
-                    (Ovs_conntrack.Conntrack.commit c ~now ~zone:opts.ct_zone
-                       key)
-            | _ -> ());
             match Emc.lookup emc key with
             | Some true ->
                 if
@@ -681,26 +626,7 @@ let stop t =
       List.iter Domain.join t.workers;
       let wall_ns = now_ns () -. t.t_start in
       t.workers <- [];
-      (* every domain joined: the private tables are safe to touch from
-         here. The per-zone limit is a switch-wide property, so enforce
-         it across all PMD tables at once (globally oldest first). *)
-      (match t.cfg.ct with
-      | Some { ct_zone; ct_limit = Some limit; _ } ->
-          ignore
-            (Ovs_conntrack.Conntrack.evict_to_limit_multi
-               (Array.to_list t.cts) ~zone:ct_zone ~limit)
-      | Some _ | None -> ());
       check_conservation t;
       let s = snapshot t ~wall_ns in
       t.final <- Some s;
       s
-
-let handle t = Engine.Handle ((module struct
-  type nonrec t = t
-
-  let name = name
-  let start = start
-  let step = step
-  let stats = stats
-  let stop = stop
-end), t)

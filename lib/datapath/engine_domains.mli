@@ -7,17 +7,6 @@
     virtual cycles. See the [.ml] header and DESIGN.md for the topology
     and memory-model argument. *)
 
-type ct_opts = {
-  ct_zone : int;
-  ct_limit : int option;
-      (** per-zone cap (nf_conncount), enforced across the per-PMD
-          private tables at {!stop} via [evict_to_limit_multi] *)
-  ct_sweep_budget : int;
-      (** bounded-expiry work per poll iteration (entries examined) *)
-}
-(** Per-PMD connection tracking: each PMD domain owns a private
-    [Ovs_conntrack.Conntrack.t] — no locks on the hit path. *)
-
 type config = {
   n_domains : int;  (** PMD domains (an injector and a revalidator ride along) *)
   templates : Bytes.t array;
@@ -38,9 +27,6 @@ type config = {
           merged into [s_latency] at snapshot time *)
   translate : Ovs_packet.Flow_key.t -> bool;
       (** the slow path's verdict for a missed flow: forward or drop *)
-  ct : ct_opts option;
-      (** arm per-PMD connection tracking; [None] (default) creates no
-          tables and adds no per-packet work *)
 }
 
 val config :
@@ -56,7 +42,6 @@ val config :
   ?oracles:bool ->
   ?latency:bool ->
   ?translate:(Ovs_packet.Flow_key.t -> bool) ->
-  ?ct:ct_opts ->
   templates:Bytes.t array ->
   unit ->
   config
@@ -86,10 +71,3 @@ val stop : t -> Engine.stats
 val violations : t -> string list
 (** Invariant violations the armed oracles recorded, oldest first. Empty
     on a clean run. Complete only after {!stop}. *)
-
-val ct_conns : t -> int
-(** Total tracked connections across the per-PMD private tables (0 when
-    [ct] is unarmed). Exact after {!stop}; a racy probe before. *)
-
-val handle : t -> Engine.handle
-(** Pack as a generic engine handle. *)

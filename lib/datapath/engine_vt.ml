@@ -1,6 +1,5 @@
 (** The virtual-time execution engine: the deterministic single-thread
-    scheduler the simulator has always used, now packaged behind the
-    {!Engine} interface.
+    scheduler the simulator has always used, reporting {!Engine.stats}.
 
     This module is a thin wrapper — one {!step} is exactly the poll sweep
     the traffic rig ran before the redesign: every PMD (or legacy
@@ -13,7 +12,7 @@
     access here: {!step_poll}/{!step_retry}/{!step_drain}/{!handle_crashes}
     re-export the {!Pmd} step API through the engine, so explorer
     schedules stay expressible while ordinary callers (bench, tools,
-    scenarios) drive the engine handle only. *)
+    scenarios) call {!step} only. *)
 
 module Cpu = Ovs_sim.Cpu
 
@@ -27,19 +26,12 @@ type t = {
   port_no : int;
   queues : int;
   mutable offered : int;  (** maintained by the owner via {!note_offered} *)
-  ct_sweep_budget : int option;
-      (** when set, each {!step} runs one bounded conntrack expiry
-          sweep with this per-step budget — the PMD-amortized lazy
-          expiry. [None] (the default) changes nothing: charged cycles
-          stay byte-identical to the pre-subsystem engine. *)
 }
 
 let name = "vt"
 
-let create ~dp ~machine ~softirq ~legacy ~rt ~port_no ~queues
-    ?ct_sweep_budget () =
-  { dp; machine; softirq; legacy; rt; port_no; queues; offered = 0;
-    ct_sweep_budget }
+let create ~dp ~machine ~softirq ~legacy ~rt ~port_no ~queues () =
+  { dp; machine; softirq; legacy; rt; port_no; queues; offered = 0 }
 
 let runtime t = t.rt
 
@@ -47,32 +39,21 @@ let runtime t = t.rt
     the conservation triangle (offered = delivered + dropped + queued). *)
 let note_offered t n = t.offered <- t.offered + n
 
-let start _ = ()
-
 (* One poll sweep over the pmd leg — byte-identical to the pre-engine
    rig loop: the runtime's poll_all, or one Dpif.poll per legacy queue
    context, in queue order. *)
 let step t =
-  let polled =
-    match t.rt with
-    | Some rt -> Pmd.poll_all rt
-    | None ->
-        let polled = ref 0 in
-        for q = 0 to t.queues - 1 do
-          polled :=
-            !polled
-            + Dpif.poll t.dp ~softirq:t.softirq.(q) ~pmd:t.legacy.(q)
-                ~port_no:t.port_no ~queue:q ()
-        done;
-        !polled
-  in
-  (match t.ct_sweep_budget with
-  | Some budget ->
-      ignore
-        (Ovs_conntrack.Conntrack.sweep_bounded (Dpif.conntrack t.dp)
-           ~now:(Dpif.now t.dp) ~budget)
-  | None -> ());
-  polled
+  match t.rt with
+  | Some rt -> Pmd.poll_all rt
+  | None ->
+      let polled = ref 0 in
+      for q = 0 to t.queues - 1 do
+        polled :=
+          !polled
+          + Dpif.poll t.dp ~softirq:t.softirq.(q) ~pmd:t.legacy.(q)
+              ~port_no:t.port_no ~queue:q ()
+      done;
+      !polled
 
 let stats t =
   let c = Dpif.counters t.dp in
@@ -114,8 +95,6 @@ let stats t =
     s_latency = Some (Dpif.latency t.dp);
   }
 
-let stop t = stats t
-
 (** {1 Schedule-explorer access}
 
     The explorer needs single-PMD single-phase steps to enumerate
@@ -131,13 +110,3 @@ let step_poll t pmd rxq = Pmd.step_poll (rt_exn t) pmd rxq
 let step_retry t pmd = Pmd.step_retry (rt_exn t) pmd
 let step_drain t pmd = Pmd.step_drain (rt_exn t) pmd
 let handle_crashes t = Pmd.handle_crashes (rt_exn t)
-
-let handle t = Engine.Handle ((module struct
-  type nonrec t = t
-
-  let name = name
-  let start = start
-  let step = step
-  let stats = stats
-  let stop = stop
-end), t)

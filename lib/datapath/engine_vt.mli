@@ -1,8 +1,8 @@
 (** The virtual-time execution engine: the deterministic single-thread
-    scheduler behind the {!Engine} interface. One {!step} is the
-    pre-redesign poll sweep, charging byte-identical virtual nanoseconds
-    (pinned by the determinism test). The schedule explorer's private
-    fine-grained step access lives here. *)
+    scheduler. One {!step} is the pre-redesign poll sweep, charging
+    byte-identical virtual nanoseconds (pinned by the determinism test).
+    The schedule explorer's private fine-grained step access lives
+    here. *)
 
 type t
 
@@ -16,15 +16,11 @@ val create :
   rt:Pmd.t option ->
   port_no:int ->
   queues:int ->
-  ?ct_sweep_budget:int ->
   unit ->
   t
 (** [legacy] holds the one-context-per-queue loop's contexts (used when
     [rt] is [None]); with [rt] set, steps go through the poll-mode
-    runtime. With [ct_sweep_budget] set, every {!step} also runs one
-    bounded conntrack expiry sweep with that per-step budget (the
-    PMD-amortized lazy expiry); unset, nothing changes and charged
-    cycles stay byte-identical to the pre-subsystem engine. *)
+    runtime. *)
 
 val runtime : t -> Pmd.t option
 (** The poll-mode runtime behind this engine, if any — for introspection
@@ -33,18 +29,15 @@ val runtime : t -> Pmd.t option
 val note_offered : t -> int -> unit
 (** Record packets the traffic rig offered, for the stats readout. *)
 
-val start : t -> unit
 val step : t -> int
-val stats : t -> Engine.stats
-val stop : t -> Engine.stats
+(** One poll sweep over the pmd leg; returns the packets polled. *)
 
-val handle : t -> Engine.handle
-(** Pack as a generic engine handle. *)
+val stats : t -> Engine.stats
 
 (** {1 Schedule-explorer access}
 
     Single-PMD single-phase steps for interleaving enumeration — the
-    explorer's private API. Ordinary callers drive the engine handle.
+    explorer's private API. Ordinary callers call {!step}.
     @raise Invalid_argument on a legacy-loop engine (no PMD runtime). *)
 
 val step_poll : t -> Pmd.pmd -> Pmd.rxq -> int

@@ -77,7 +77,7 @@ val poll_all : t -> int
 
     @deprecated Since the execution-engine redesign these are the
     explorer's private substrate: ordinary callers (bench, tools,
-    scenarios) must drive an {!Engine.handle} instead, and the explorer
+    scenarios) must call [Engine_vt.step] instead, and the explorer
     itself reaches these through [Engine_vt.step_poll] and friends.
     Calling them directly from new code bypasses the engine's offered /
     delivered accounting. *)

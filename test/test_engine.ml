@@ -1,8 +1,9 @@
-(* Tests for the execution-engine redesign: Engine_vt byte-determinism
-   (golden values captured on the pre-engine scheduler), the generic
-   handle dispatch, the cross-domain primitives (atomic SPSC ring, Spscq,
-   contended umempool, domain-safe coverage), and the Engine_domains
-   parallel rig with its invariant oracles armed. *)
+(* Tests for the execution engines: Engine_vt byte-determinism (golden
+   values captured on the pre-engine scheduler, plus fingerprints of
+   every other Scenario runner), Engine_vt's step and stats, the
+   cross-domain primitives (atomic SPSC ring, Spscq, contended
+   umempool, domain-safe coverage), and the Engine_domains parallel rig
+   with its invariant oracles armed. *)
 
 module Scenario = Ovs_trafficgen.Scenario
 module Engine = Ovs_datapath.Engine
@@ -197,16 +198,14 @@ let golden_ndr_probes () =
     ]
     (List.map probe [ 3.5e7; 1e6; 6e6 ])
 
-(* -- the generic handle: dispatch reaches the vt engine -- *)
+(* -- the vt engine's step and stats, called directly -- *)
 
-let handle_dispatch () =
+let vt_step_stats () =
   let rig = Scenario.setup (Scenario.config ~n_pmds:2 ~queues:2 ~n_flows:4 ()) in
-  let h = Engine_vt.handle rig.Scenario.r_eng in
-  check Alcotest.string "handle name" "vt" (Engine.name h);
-  Engine.start h;
+  let eng = rig.Scenario.r_eng in
   (* no traffic yet: a sweep polls empty queues *)
-  check Alcotest.int "empty sweep" 0 (Engine.step h);
-  let s = Engine.stats h in
+  check Alcotest.int "empty sweep" 0 (Engine_vt.step eng);
+  let s = Engine_vt.stats eng in
   check Alcotest.string "stats engine" "vt" s.Engine.s_engine;
   check Alcotest.int "units = pmds" 2 s.Engine.s_units;
   check Alcotest.int "unit detail rows" 2 (List.length s.Engine.s_units_detail)
@@ -410,8 +409,8 @@ let () =
           Alcotest.test_case "golden latency burst" `Quick golden_latency_burst;
           Alcotest.test_case "golden ndr probes" `Quick golden_ndr_probes;
         ] );
-      ( "handle",
-        [ Alcotest.test_case "dispatch" `Quick handle_dispatch ] );
+      ( "vt-engine",
+        [ Alcotest.test_case "step and stats" `Quick vt_step_stats ] );
       ( "spsc",
         [
           QCheck_alcotest.to_alcotest ring_flavor_equiv;
