@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test smoke bench chaos ccache mc multicore latency ndr policy scale reconfig clean
+.PHONY: all check build test smoke perfbench-smoke bench chaos ccache mc multicore latency ndr policy scale reconfig clean
 
 all: build
 
@@ -13,6 +13,12 @@ test:
 # attribution experiments both exit nonzero on failure.
 smoke:
 	dune exec bench/main.exe -- pmd stages
+
+# A one-second pass of the wall-clock benchmark's p2p workload, the one
+# that drives the Scenario rig: exits nonzero if its virtual-ns pin or
+# its packet conservation check fails.
+perfbench-smoke:
+	python3 perfbench/run.py --workload p2p-afxdp-emc --seed 1 --seconds 1 --trace 0
 
 # The chaos bench: every fault plan against every leg, exact packet
 # conservation and post-recovery throughput enforced (exit nonzero on any
@@ -84,7 +90,7 @@ scale:
 reconfig:
 	dune exec bench/main.exe -- reconfig --json
 
-check: build test smoke chaos ccache mc multicore latency ndr policy scale reconfig
+check: build test smoke perfbench-smoke chaos ccache mc multicore latency ndr policy scale reconfig
 
 bench:
 	dune exec bench/main.exe
