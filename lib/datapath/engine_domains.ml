@@ -535,7 +535,7 @@ let check_conservation t =
       egr_rings
   end
 
-(* -- the Engine interface -- *)
+(* -- running the engine: start, step, stats, stop -- *)
 
 (* Wrap a worker body with lifetime measurement, coverage flushing and a
    crash backstop (a worker exception becomes a recorded violation, and

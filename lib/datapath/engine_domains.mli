@@ -49,7 +49,6 @@ val config :
 
 type t
 
-val name : string
 val create : config -> t
 
 val start : t -> unit

@@ -6,8 +6,6 @@
 
 type t
 
-val name : string
-
 val create :
   dp:Dpif.t ->
   machine:Ovs_sim.Cpu.t ->
