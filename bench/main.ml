@@ -688,7 +688,7 @@ let ccache_point ~target_rules : ccache_row =
   Dpif.reset_measurement dp;
   replay ();
   let baseline =
-    c.Ovs_datapath.Dp_core.dpcls_cycles
+    c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.dpcls_cycles
     /. float_of_int (Int.max 1 c.Ovs_datapath.Dp_core.dpcls_hits)
   in
   let subtables, megaflows, mean_probes = Dpif.dpcls_stats dp in
@@ -700,7 +700,7 @@ let ccache_point ~target_rules : ccache_row =
   let tier_hits = c.Ovs_datapath.Dp_core.ccache_hits
   and cls_hits = c.Ovs_datapath.Dp_core.dpcls_hits in
   let with_ccache =
-    (c.Ovs_datapath.Dp_core.ccache_cycles +. c.Ovs_datapath.Dp_core.dpcls_cycles)
+    (c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.ccache_cycles +. c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.dpcls_cycles)
     /. float_of_int (Int.max 1 (tier_hits + cls_hits))
   in
   let keys = List.init n_flows (fun j -> Ovs_packet.Flow_key.extract (flow j)) in
@@ -810,8 +810,8 @@ let micro () =
         (Staged.stage (fun () -> ignore (Ovs_ebpf.Xdp.run hook Costs.default pkt)));
       Test.make ~name:"xsk_ring_push_pop (Fig 4 paths 1-5)"
         (Staged.stage (fun () ->
-             ignore (Ovs_xsk.Ring.push ring { Ovs_xsk.Ring.addr = 1; len = 64 });
-             ignore (Ovs_xsk.Ring.pop ring)));
+             ignore (Ovs_xsk.Ring.produce ring ~addr:1 ~len:64);
+             ignore (Ovs_xsk.Ring.consume ring)));
       Test.make ~name:"checksum_64B (O5)"
         (Staged.stage (fun () ->
              ignore

@@ -25,6 +25,18 @@ type flavor = Flavor_userspace | Flavor_kernel | Flavor_kernel_ebpf
 
 type charge_fn = Ovs_sim.Cpu.category -> Ovs_sim.Time.ns -> unit
 
+(** Virtual ns spent on the {e hits} of each lookup tier — the raw
+    material of dpif/cache-hierarchy-show's mean-cycles-per-hit column.
+    An all-float record, stored flat, so accumulating into it allocates
+    nothing (a float field of the mixed [counters] record would box, and
+    promote, on every hit). *)
+type tier_cycles = {
+  mutable emc_cycles : float;
+  mutable smc_cycles : float;
+  mutable ccache_cycles : float;
+  mutable dpcls_cycles : float;
+}
+
 type counters = {
   mutable packets : int;
   mutable passes : int;  (** datapath lookups, incl. recirculations *)
@@ -35,12 +47,7 @@ type counters = {
   mutable dpcls_hits : int;
   mutable dropped : int;
   mutable sent : int;
-  (* virtual ns spent on the *hits* of each lookup tier — the raw material
-     of dpif/cache-hierarchy-show's mean-cycles-per-hit column *)
-  mutable emc_cycles : float;
-  mutable smc_cycles : float;
-  mutable ccache_cycles : float;
-  mutable dpcls_cycles : float;
+  cycles : tier_cycles;
 }
 
 (* process-global coverage counters, COVERAGE_INC-style *)
@@ -122,10 +129,7 @@ let fresh_counters () =
     dpcls_hits = 0;
     dropped = 0;
     sent = 0;
-    emc_cycles = 0.;
-    smc_cycles = 0.;
-    ccache_cycles = 0.;
-    dpcls_cycles = 0.;
+    cycles = { emc_cycles = 0.; smc_cycles = 0.; ccache_cycles = 0.; dpcls_cycles = 0. };
   }
 
 let create ~flavor ~costs ~pipeline () =
@@ -285,10 +289,10 @@ let reset_counters t =
   c.dpcls_hits <- 0;
   c.dropped <- 0;
   c.sent <- 0;
-  c.emc_cycles <- 0.;
-  c.smc_cycles <- 0.;
-  c.ccache_cycles <- 0.;
-  c.dpcls_cycles <- 0.
+  c.cycles.emc_cycles <- 0.;
+  c.cycles.smc_cycles <- 0.;
+  c.cycles.ccache_cycles <- 0.;
+  c.cycles.dpcls_cycles <- 0.
 
 (** Configure a token-bucket meter (the [meter:N] action's target). *)
 let set_meter t ~id ~rate_pps ~burst =
@@ -362,7 +366,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
             let cost = c.Ovs_sim.Costs.emc_hit +. cold_penalty t in
             charge cat cost;
             t.counters.emc_hits <- t.counters.emc_hits + 1;
-            t.counters.emc_cycles <- t.counters.emc_cycles +. cost;
+            t.counters.cycles.emc_cycles <- t.counters.cycles.emc_cycles +. cost;
             Coverage.incr cov_emc_hit;
             trace_note t Trace.St_emc (fun () -> "hit: exact-match cache");
             Some actions
@@ -388,7 +392,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
                 in
                 charge cat cost;
                 t.counters.smc_hits <- t.counters.smc_hits + 1;
-                t.counters.smc_cycles <- t.counters.smc_cycles +. cost;
+                t.counters.cycles.smc_cycles <- t.counters.cycles.smc_cycles +. cost;
                 Coverage.incr cov_smc_hit;
                 trace_note t Trace.St_smc (fun () -> "hit: signature-match cache");
                 Some actions
@@ -419,7 +423,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
                 charge cat cost;
                 e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
                 t.counters.ccache_hits <- t.counters.ccache_hits + 1;
-                t.counters.ccache_cycles <- t.counters.ccache_cycles +. cost;
+                t.counters.cycles.ccache_cycles <- t.counters.cycles.ccache_cycles +. cost;
                 Coverage.incr cov_ccache_hit;
                 trace_note t Trace.St_ccache (fun () ->
                     Printf.sprintf
@@ -463,7 +467,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
           charge cat cost;
           e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
           t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.dpcls_cycles <- t.counters.dpcls_cycles +. cost;
+          t.counters.cycles.dpcls_cycles <- t.counters.cycles.dpcls_cycles +. cost;
           Coverage.incr cov_masked_hit;
           trace_note t Trace.St_dpcls (fun () ->
               Printf.sprintf "hit: megaflow on %s (%d subtable probe%s)"
@@ -832,7 +836,7 @@ let handle_upcall t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t
           charge cat cost;
           e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
           t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.dpcls_cycles <- t.counters.dpcls_cycles +. cost;
+          t.counters.cycles.dpcls_cycles <- t.counters.cycles.dpcls_cycles +. cost;
           Coverage.incr cov_masked_hit;
           let actions = e.Ovs_flow.Dpcls.value in
           (match t.emc with

@@ -19,6 +19,18 @@ type flavor =
 (** How work is billed: a CPU-time category and a duration in virtual ns. *)
 type charge_fn = Ovs_sim.Cpu.category -> Ovs_sim.Time.ns -> unit
 
+(** Virtual ns spent on the {e hits} of each lookup tier — the raw
+    material of dpif/cache-hierarchy-show's mean-cycles-per-hit column.
+    An all-float record, stored flat, so accumulating into it allocates
+    nothing (a float field of the mixed [counters] record would box, and
+    promote, on every hit). *)
+type tier_cycles = {
+  mutable emc_cycles : float;
+  mutable smc_cycles : float;
+  mutable ccache_cycles : float;
+  mutable dpcls_cycles : float;
+}
+
 (** Aggregate datapath counters. The record is deliberately public (all
     consumers read them; the PMD runtime snapshots them around each poll
     to attribute deltas per core) — use {!reset_counters} to zero. *)
@@ -32,12 +44,7 @@ type counters = {
   mutable dpcls_hits : int;
   mutable dropped : int;
   mutable sent : int;
-  (* virtual ns spent on the *hits* of each lookup tier — the raw material
-     of dpif/cache-hierarchy-show's mean-cycles-per-hit column *)
-  mutable emc_cycles : float;
-  mutable smc_cycles : float;
-  mutable ccache_cycles : float;
-  mutable dpcls_cycles : float;
+  cycles : tier_cycles;
 }
 
 type t

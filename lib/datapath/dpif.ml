@@ -91,7 +91,10 @@ type t = {
           harness applies to the wall time in multiqueue runs *)
   mutable active_queues : int;  (** queues observed carrying traffic *)
   metadata_pool : Ovs_xsk.Dp_packet_pool.t;
-  vm : Ovs_ebpf.Vm.t;  (** scratch VM for any per-port XDP programs *)
+  rxhash_key : FK.t;  (** scratch key for the software rxhash *)
+  mutable rx_frames : int array;
+  mutable rx_bufs : Ovs_packet.Buffer.t array;
+      (** the XSK receive burst's frames and buffers, reused every poll *)
   latency : Ovs_sim.Quantiles.t;
       (** per-packet sojourn times (ingress stamp to egress), recorded by
           the egress sink via {!record_latency}; empty unless the traffic
@@ -121,13 +124,10 @@ let create ?(costs = Costs.default) ~kind ~pipeline () =
     next_port = 0;
     serialized_tx = 0.;
     active_queues = 0;
-    metadata_pool =
-      (* sized with the umem: enough for any burst in flight, and cheap to
-         preallocate when a shrunken model (the schedule explorer) asks
-         for a small frame budget *)
-      Ovs_xsk.Dp_packet_pool.create ~mode:opts.metadata
-        ~size:(Int.min 4096 opts.frames_per_queue);
-    vm = Ovs_ebpf.Vm.create ();
+    metadata_pool = Ovs_xsk.Dp_packet_pool.create ~mode:opts.metadata;
+    rxhash_key = FK.create ();
+    rx_frames = [||];
+    rx_bufs = [||];
     latency = Ovs_sim.Quantiles.create ();
   }
 
@@ -144,7 +144,7 @@ let batchf t = float_of_int (afxdp_opts t).batch_size
    Buffer.clone would duplicate the whole umem arena for frame-aliased
    buffers, so only the live region is copied.) *)
 let put_on_wire (dev : Ovs_netdev.Netdev.t) (pkt : Ovs_packet.Buffer.t) =
-  let copy = Ovs_packet.Buffer.of_bytes (Ovs_packet.Buffer.contents pkt) in
+  let copy = Ovs_packet.Buffer.copy_live pkt in
   copy.Ovs_packet.Buffer.rss_hash <- pkt.Ovs_packet.Buffer.rss_hash;
   copy.Ovs_packet.Buffer.birth_ns <- pkt.Ovs_packet.Buffer.birth_ns;
   Ovs_netdev.Netdev.transmit dev copy
@@ -295,8 +295,8 @@ let userspace_rx_prep t (charge : Dp_core.charge_fn) pkt ~need_rxhash =
     (* AF_XDP cannot read NIC hash hints yet (Sec 5.5): software rxhash *)
     charge Cpu.User c.Costs.rxhash_sw;
     if pkt.Ovs_packet.Buffer.rss_hash = 0 then begin
-      let key = FK.extract pkt in
-      pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash key
+      FK.extract_into t.rxhash_key pkt;
+      pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash t.rxhash_key
     end
   end;
   (* software checksum validation when the NIC's hint is unavailable *)
@@ -403,7 +403,7 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
               ignore
                 (Ovs_xsk.Xsk.kernel_rx xsk
                    ~birth_ns:pkt.Ovs_packet.Buffer.birth_ns
-                   (Ovs_packet.Buffer.contents pkt)
+                   pkt.Ovs_packet.Buffer.data ~src_off:pkt.Ovs_packet.Buffer.start
                    ~len:(Ovs_packet.Buffer.length pkt))
           | Ovs_ebpf.Vm.Tx ->
               rx_softirq Cpu.Softirq (c.Costs.driver_tx +. c.Costs.xdp_tx);
@@ -414,8 +414,11 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
           | Ovs_ebpf.Vm.Drop | Ovs_ebpf.Vm.Aborted -> ())
         wire_pkts;
       (* userspace side: PMD thread (or the main thread without O1) *)
-      let batch = Ovs_xsk.Xsk.rx_burst xsk ~max in
-      let n = List.length batch in
+      if Array.length t.rx_frames < max then begin
+        t.rx_frames <- Array.make max 0;
+        t.rx_bufs <- Array.make max (Ovs_packet.Buffer.create ~size:0 ())
+      end;
+      let n = Ovs_xsk.Xsk.rx_burst xsk ~max t.rx_frames t.rx_bufs in
       (* refill the fill ring for the next burst — even on an idle poll:
          after a pool-exhaustion episode the fill ring can be empty with
          nothing in flight, and only the refill un-wedges rx *)
@@ -441,14 +444,14 @@ let poll t ~(softirq : Cpu.ctx) ~(pmd : Cpu.ctx) ?(max = 32) ~port_no ~queue ()
           c.Costs.afxdp_mq_penalty_per_queue
           *. float_of_int (Int.max 0 (t.active_queues - 1))
         in
-        List.iter
-          (fun (frame, pkt) ->
-            pkt.Ovs_packet.Buffer.in_port <- port_no;
-            rx_pmd Cpu.User mq_penalty;
-            userspace_rx_prep t rx_pmd pkt ~need_rxhash:true;
-            Dp_core.process t.core charge_pmd pkt;
-            Ovs_xsk.Xsk.release xsk ~frame)
-          batch;
+        for i = 0 to n - 1 do
+          let pkt = t.rx_bufs.(i) in
+          pkt.Ovs_packet.Buffer.in_port <- port_no;
+          rx_pmd Cpu.User mq_penalty;
+          userspace_rx_prep t rx_pmd pkt ~need_rxhash:true;
+          Dp_core.process t.core charge_pmd pkt;
+          Ovs_xsk.Xsk.release xsk ~frame:t.rx_frames.(i)
+        done;
         ignore (Ovs_xsk.Xsk.flush_tx xsk)
       end;
       n

@@ -287,7 +287,7 @@ let injector_body t () =
       check_ring t (Printf.sprintf "q%d.fill" q) xsk.Xsk.fill fill_cons.(q);
       let tpl = cfg.templates.(!sent mod n_tpl) in
       let birth_ns = if cfg.latency then now_ns () else -1. in
-      let ok = Xsk.kernel_rx xsk ~birth_ns tpl ~len:cfg.frame_len in
+      let ok = Xsk.kernel_rx xsk ~birth_ns tpl ~src_off:0 ~len:cfg.frame_len in
       Atomic.incr t.a_offered;
       ws.w_packets <- ws.w_packets + 1;
       if not ok then begin
@@ -324,6 +324,8 @@ let pmd_body t k () =
   let egr = t.egr_xsks.(k) in
   let emc : bool Emc.t = Emc.create ~entries:cfg.emc_entries () in
   let rx_cons = ref (Ring.cons_idx xsk.Xsk.rx) in
+  let frames = Array.make cfg.batch 0 in
+  let bufs = Array.make cfg.batch (Buffer.create ~size:0 ()) in
   Xsk.set_owner xsk ~pmd:k;
   ignore (Xsk.refill xsk 0 : int);
   let running = ref true in
@@ -340,9 +342,8 @@ let pmd_body t k () =
     drain_resp ();
     check_owner t k xsk;
     check_ring t (Printf.sprintf "q%d.rx" k) xsk.Xsk.rx rx_cons;
-    let burst = Xsk.rx_burst xsk ~max:cfg.batch in
-    match burst with
-    | [] ->
+    match Xsk.rx_burst xsk ~max:cfg.batch frames bufs with
+    | 0 ->
         ignore (Xsk.flush_tx egr : int);
         ignore (Xsk.refill xsk 0 : int);
         if
@@ -354,45 +355,44 @@ let pmd_body t k () =
           backoff !idle_spins;
           incr idle_spins
         end
-    | _ :: _ ->
+    | consumed ->
         idle_spins := 0;
-        let consumed = List.length burst in
         ws.w_packets <- ws.w_packets + consumed;
         let recycle = ref [] in
         let delivered = ref 0 and dropped = ref 0 and upcalled = ref 0 in
-        List.iter
-          (fun (frame, (buf : Buffer.t)) ->
-            let key = FK.extract buf in
-            match Emc.lookup emc key with
-            | Some true ->
-                if
-                  transmit_egress t egr ~src_start:buf.Buffer.start
-                    ~len:buf.Buffer.len
-                then begin
-                  incr delivered;
-                  let birth = buf.Buffer.birth_ns in
-                  if birth >= 0. then
-                    Ovs_sim.Quantiles.add t.lat.(k)
-                      (Float.max 0. (now_ns () -. birth))
-                end
-                else incr dropped;
-                recycle := frame :: !recycle
-            | Some false ->
+        for i = 0 to consumed - 1 do
+          let frame = frames.(i) and buf = bufs.(i) in
+          let key = FK.extract buf in
+          match Emc.lookup emc key with
+          | Some true ->
+              if
+                transmit_egress t egr ~src_start:buf.Buffer.start
+                  ~len:buf.Buffer.len
+              then begin
+                incr delivered;
+                let birth = buf.Buffer.birth_ns in
+                if birth >= 0. then
+                  Ovs_sim.Quantiles.add t.lat.(k)
+                    (Float.max 0. (now_ns () -. birth))
+              end
+              else incr dropped;
+              recycle := frame :: !recycle
+          | Some false ->
+              incr dropped;
+              recycle := frame :: !recycle
+          | None ->
+              if Spscq.try_push t.upq.(k) (frame, buf.Buffer.len, key) then begin
+                (* frame ownership moves to the revalidator *)
+                check_qbound t (Printf.sprintf "pmd%d.upq" k) t.upq.(k);
+                incr upcalled
+              end
+              else begin
+                (* bounded queue full: the upcall is lost, the packet
+                   dropped — same contract as the VT PMD's lost counter *)
                 incr dropped;
                 recycle := frame :: !recycle
-            | None ->
-                if Spscq.try_push t.upq.(k) (frame, buf.Buffer.len, key) then begin
-                  (* frame ownership moves to the revalidator *)
-                  check_qbound t (Printf.sprintf "pmd%d.upq" k) t.upq.(k);
-                  incr upcalled
-                end
-                else begin
-                  (* bounded queue full: the upcall is lost, the packet
-                     dropped — same contract as the VT PMD's lost counter *)
-                  incr dropped;
-                  recycle := frame :: !recycle
-                end)
-          burst;
+              end
+        done;
         if !recycle <> [] then Xsk.release_batch xsk !recycle;
         ignore (Xsk.refill xsk consumed : int);
         ignore (Xsk.flush_tx egr : int);

@@ -186,12 +186,21 @@ let assignment t =
    loses packets, but a transient burst recovers without drops. Returning
    [true] tells the datapath we own the packet; a definitive loss returns
    [false] so Dp_core counts the drop. The retry machinery is dormant on
-   the sunny path: the upcall queue never overflows there. *)
+   the sunny path: the upcall queue never overflows there.
+
+   A parked upcall outlives the poll that received it, and with it the
+   umem frame its buffer aliases: the frame goes back to the pool when
+   the poll ends and carries another packet two polls later. So the
+   retry queue keeps a private copy of the bytes and metadata (host
+   memory, no virtual time). The main queue needs none in the main loop
+   ({!poll_all}): it drains in the same iteration, before the frame can
+   be refilled. (The explorer's split steps can put other polls between
+   a poll and its drain; its oracles count packets, not their bytes.) *)
 let upcall_hook_for t pmd (pkt : Ovs_packet.Buffer.t) key =
   if Queue.length pmd.upcalls >= t.upcall_capacity || Faults.upcall_storm ()
   then
     if Queue.length pmd.retries < t.retry_capacity then begin
-      Queue.add (pkt, key, 0) pmd.retries;
+      Queue.add (Ovs_packet.Buffer.copy pkt, key, 0) pmd.retries;
       pmd.pstats.retried <- pmd.pstats.retried + 1;
       Coverage.incr cov_upcall_retried;
       true

@@ -34,10 +34,10 @@ let load_exn ~name prog =
     time the execution cost under [costs]. *)
 let run t (costs : Ovs_sim.Costs.t) (pkt : Ovs_packet.Buffer.t) :
     Vm.action * Ovs_sim.Time.ns =
-  let outcome = Vm.run t.vm t.prog pkt in
+  let action = Vm.execute t.vm t.prog pkt in
+  let s = Vm.last_stats t.vm in
   t.runs <- t.runs + 1;
-  t.total_insns <- t.total_insns + outcome.Vm.stats.Vm.insns;
-  let s = outcome.Vm.stats in
+  t.total_insns <- t.total_insns + s.Vm.insns;
   let cost =
     costs.Ovs_sim.Costs.xdp_prog_overhead
     +. (float_of_int s.Vm.insns *. costs.Ovs_sim.Costs.ebpf_insn)
@@ -46,7 +46,7 @@ let run t (costs : Ovs_sim.Costs.t) (pkt : Ovs_packet.Buffer.t) :
     (* touching freshly DMA'd packet bytes costs one cache miss *)
     +. (if s.Vm.pkt_loads > 0 then costs.Ovs_sim.Costs.cache_miss else 0.)
   in
-  (outcome.Vm.action, cost)
+  (action, cost)
 
 (** Install this program into a [Prog_array] slot so other programs can
     tail-call it. *)

@@ -31,20 +31,21 @@ let create ?(entries = default_entries) () =
 
 let slot2 t h = (h lsr 13) land t.mask
 
+(* the value of slot [i] when it holds [key], counting the hit *)
+let probe t i (key : Ovs_packet.Flow_key.t) =
+  match t.slots.(i) with
+  | Some e when Ovs_packet.Flow_key.equal e.key key ->
+      e.hits <- e.hits + 1;
+      Some e.value
+  | Some _ | None -> None
+
 let lookup t (key : Ovs_packet.Flow_key.t) : 'a option =
   t.lookups <- t.lookups + 1;
   let h = Ovs_packet.Flow_key.hash key in
-  let probe i =
-    match t.slots.(i) with
-    | Some e when Ovs_packet.Flow_key.equal e.key key ->
-        e.hits <- e.hits + 1;
-        Some e.value
-    | _ -> None
-  in
   let r =
-    match probe (h land t.mask) with
+    match probe t (h land t.mask) key with
     | Some _ as hit -> hit
-    | None -> probe (slot2 t h)
+    | None -> probe t (slot2 t h) key
   in
   (match r with Some _ -> t.hit_count <- t.hit_count + 1 | None -> ());
   r

@@ -137,19 +137,31 @@ let put t n =
   Bytes.fill t.data (t.start + t.len) n '\000';
   t.len <- t.len + n
 
+let copy_offload o =
+  { csum_good = o.csum_good; csum_tx_offload = o.csum_tx_offload; tso_segsz = o.tso_segsz }
+
 (** An independent copy (data and metadata). *)
 let clone t =
-  {
-    t with
-    data = Bytes.copy t.data;
-    regs = Array.copy t.regs;
-    offload =
-      {
-        csum_good = t.offload.csum_good;
-        csum_tx_offload = t.offload.csum_tx_offload;
-        tso_segsz = t.offload.tso_segsz;
-      };
-  }
+  { t with data = Bytes.copy t.data; regs = Array.copy t.regs; offload = copy_offload t.offload }
+
+(** An independent copy of the live bytes and every metadata field, with
+    the default headroom. Unlike {!clone} it copies only the live region,
+    never the whole backing store — which, for a buffer aliasing a umem
+    frame, is the whole arena. A packet that must outlive its frame
+    keeps one. *)
+let copy t =
+  let data = Bytes.make (default_headroom + t.len) '\000' in
+  Bytes.blit t.data t.start data default_headroom t.len;
+  { t with data; start = default_headroom; regs = Array.copy t.regs;
+           offload = copy_offload t.offload }
+
+(** A fresh buffer (default headroom, fresh metadata) holding one copy of
+    [t]'s live bytes — what a transmitted packet leaves on the wire. *)
+let copy_live t =
+  let c = create ~size:t.len () in
+  Bytes.blit t.data t.start c.data c.start t.len;
+  c.len <- t.len;
+  c
 
 (** The live bytes as a fresh [Bytes.t] (for tests and tcpdump). *)
 let contents t = Bytes.sub t.data t.start t.len

@@ -53,7 +53,9 @@ module Field = struct
 
   let count = Array.length all
 
-  let to_index : t -> int = function
+  (* inlined so that [get]/[set] on a constant field compile to a plain
+     array access *)
+  let[@inline] to_index : t -> int = function
     | In_port -> 0
     | Recirc_id -> 1
     | Dl_src -> 2
@@ -171,10 +173,16 @@ module Ct_state_bits = struct
 end
 
 let create () : t = Array.make Field.count 0
-let get (k : t) f = k.(Field.to_index f)
-let set (k : t) f v = k.(Field.to_index f) <- v
+let[@inline] get (k : t) f = k.(Field.to_index f)
+let[@inline] set (k : t) f v = k.(Field.to_index f) <- v
 let copy (k : t) : t = Array.copy k
-let equal (a : t) (b : t) = a = b
+let rec equal_from (a : t) (b : t) i =
+  i >= Field.count || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+(* a field-by-field loop: cheaper than polymorphic equality on the
+   EMC's hit path *)
+let equal (a : t) (b : t) =
+  Array.length a = Array.length b && equal_from a b 0
 
 (** FNV-1a over all fields; the EMC and dpcls hash keys this way. *)
 let hash (k : t) =
@@ -215,97 +223,140 @@ let rss_hash (k : t) =
   mix (get k Tp_dst);
   !h
 
-(** Extract the flow key from a packet, the analogue of OVS's
-    [miniflow_extract]. Parses Ethernet, VLAN, ARP, IPv4/IPv6 and L4 headers
-    and copies packet metadata (port, recirculation, conntrack, tunnel). *)
-let extract (buf : Buffer.t) : t =
+(* Big-endian reads at offset [ofs] of a packet whose live bytes start at
+   [s] in [d] — the [Buffer] accessors, restated here so the extraction
+   loop inlines them. *)
+let u8 d s ofs = Bytes.get_uint8 d (s + ofs)
+let u16 d s ofs = Bytes.get_uint16_be d (s + ofs)
+let u32 d s ofs = Int32.to_int (Bytes.get_int32_be d (s + ofs)) land 0xFFFF_FFFF
+let mac d s ofs = (u16 d s ofs lsl 32) lor (u16 d s (ofs + 2) lsl 16) lor u16 d s (ofs + 4)
+
+(* One 64-bit IPv6 address half at [ofs], folded to 62 bits (its value
+   shifted right by two, as in {!Field}'s documented lossy fold). *)
+let fold_ip6_half d s ofs = (u32 d s ofs lsl 30) lor (u32 d s (ofs + 4) lsr 2)
+
+(** Extract the flow key from a packet into the caller-owned [k], the
+    analogue of OVS's [miniflow_extract]: every field of [k] is
+    overwritten. Parses Ethernet, VLAN, ARP, IPv4/IPv6 and L4 headers
+    straight from the bytes (no header records) and copies packet metadata
+    (port, recirculation, conntrack, tunnel). Like the header parsers it
+    stands for, it sets [buf.l3_ofs] once the Ethernet header parses and
+    [buf.l4_ofs] once the IPv4/IPv6 header does, and leaves them alone
+    otherwise. Never raises on a well-formed buffer, whatever its bytes. *)
+let extract_into (k : t) (buf : Buffer.t) =
   let open Field in
-  let k = create () in
+  Array.fill k 0 Field.count 0;
   set k In_port buf.Buffer.in_port;
   set k Recirc_id buf.Buffer.recirc_id;
   set k Ct_state buf.Buffer.ct_state;
   set k Ct_zone buf.Buffer.ct_zone;
   set k Ct_mark buf.Buffer.ct_mark;
-  set k Reg0 buf.Buffer.regs.(0);
-  set k Reg1 buf.Buffer.regs.(1);
-  set k Reg2 buf.Buffer.regs.(2);
-  set k Reg3 buf.Buffer.regs.(3);
-  set k Reg4 buf.Buffer.regs.(4);
-  set k Reg5 buf.Buffer.regs.(5);
-  set k Reg6 buf.Buffer.regs.(6);
-  set k Reg7 buf.Buffer.regs.(7);
+  Array.blit buf.Buffer.regs 0 k (to_index Reg0) 8;
   (match buf.Buffer.tunnel with
   | Some tmd ->
       set k Tun_id tmd.Buffer.tun_id;
       set k Tun_src tmd.Buffer.tun_src;
       set k Tun_dst tmd.Buffer.tun_dst
   | None -> ());
-  (match Ethernet.parse buf with
-  | None -> ()
-  | Some eth -> begin
-      set k Dl_src eth.Ethernet.src;
-      set k Dl_dst eth.Ethernet.dst;
-      set k Dl_type eth.Ethernet.eth_type;
-      set k Vlan_tci eth.Ethernet.vlan_tci;
-      if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv4 then begin
-        match Ipv4.parse buf with
-        | None -> ()
-        | Some ip -> begin
-            set k Nw_src ip.Ipv4.src;
-            set k Nw_dst ip.Ipv4.dst;
-            set k Nw_proto ip.Ipv4.proto;
-            set k Nw_tos ip.Ipv4.tos;
-            set k Nw_ttl ip.Ipv4.ttl;
-            set k Nw_frag (if Ipv4.is_fragment ip then 1 else 0);
-            if not (Ipv4.is_later_fragment ip) then begin
-              if ip.Ipv4.proto = Ipv4.Proto.udp then begin
-                match Udp.parse buf with
-                | Some u ->
-                    set k Tp_src u.Udp.src_port;
-                    set k Tp_dst u.Udp.dst_port
-                | None -> ()
+  let len = Buffer.length buf in
+  let d = buf.Buffer.data and s = buf.Buffer.start in
+  (* Ethernet, with at most one 802.1Q tag *)
+  let l3 =
+    if len < Ethernet.header_len then -1
+    else begin
+      let ty = u16 d s 12 in
+      if ty <> Ethernet.Ethertype.vlan then begin
+        set k Dl_type ty;
+        Ethernet.header_len
+      end
+      else if len < Ethernet.header_len + Ethernet.vlan_header_len then -1
+      else begin
+        set k Dl_type (u16 d s 16);
+        set k Vlan_tci (u16 d s 14 lor 0x1000);
+        Ethernet.header_len + Ethernet.vlan_header_len
+      end
+    end
+  in
+  if l3 >= 0 then begin
+    buf.Buffer.l3_ofs <- l3;
+    set k Dl_dst (mac d s 0);
+    set k Dl_src (mac d s 6);
+    let eth_type = get k Dl_type in
+    if eth_type = Ethernet.Ethertype.ipv4 then begin
+      if len >= l3 + Ipv4.header_len && u8 d s l3 lsr 4 = 4 then begin
+        let ihl = (u8 d s l3 land 0xF) * 4 in
+        if ihl >= Ipv4.header_len && len >= l3 + ihl then begin
+          let l4 = l3 + ihl in
+          buf.Buffer.l4_ofs <- l4;
+          let frag_word = u16 d s (l3 + 6) in
+          let frag_off = frag_word land 0x1FFF in
+          let proto = u8 d s (l3 + 9) in
+          set k Nw_src (u32 d s (l3 + 12));
+          set k Nw_dst (u32 d s (l3 + 16));
+          set k Nw_proto proto;
+          set k Nw_tos (u8 d s (l3 + 1));
+          set k Nw_ttl (u8 d s (l3 + 8));
+          (* a fragment has MF set or a nonzero offset; only the first
+             carries the L4 header *)
+          set k Nw_frag
+            (if frag_off > 0 || frag_word land 0x2000 <> 0 then 1 else 0);
+          if frag_off = 0 then begin
+            if proto = Ipv4.Proto.udp then begin
+              if len >= l4 + Udp.header_len then begin
+                set k Tp_src (u16 d s l4);
+                set k Tp_dst (u16 d s (l4 + 2))
               end
-              else if ip.Ipv4.proto = Ipv4.Proto.tcp then begin
-                match Tcp.parse buf with
-                | Some tc ->
-                    set k Tp_src tc.Tcp.src_port;
-                    set k Tp_dst tc.Tcp.dst_port;
-                    set k Tcp_flags tc.Tcp.flags
-                | None -> ()
+            end
+            else if proto = Ipv4.Proto.tcp then begin
+              if len >= l4 + Tcp.header_len then begin
+                set k Tp_src (u16 d s l4);
+                set k Tp_dst (u16 d s (l4 + 2));
+                set k Tcp_flags (u16 d s (l4 + 12) land 0x3F)
               end
-              else if ip.Ipv4.proto = Ipv4.Proto.icmp then begin
-                match Icmp.parse buf with
-                | Some ic ->
-                    set k Tp_src ic.Icmp.icmp_type;
-                    set k Tp_dst ic.Icmp.code
-                | None -> ()
+            end
+            else if proto = Ipv4.Proto.icmp then begin
+              if len >= l4 + Icmp.header_len then begin
+                set k Tp_src (u8 d s l4);
+                set k Tp_dst (u8 d s (l4 + 1))
               end
             end
           end
+        end
       end
-      else if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv6 then begin
-        match Ipv6.parse buf with
-        | None -> ()
-        | Some ip6 ->
-            let fold (h : int64) = Int64.to_int (Int64.shift_right_logical h 2) in
-            set k Ip6_src_hi (fold ip6.Ipv6.src.Ipv6.hi);
-            set k Ip6_src_lo (fold ip6.Ipv6.src.Ipv6.lo);
-            set k Ip6_dst_hi (fold ip6.Ipv6.dst.Ipv6.hi);
-            set k Ip6_dst_lo (fold ip6.Ipv6.dst.Ipv6.lo);
-            set k Nw_proto ip6.Ipv6.next_header;
-            set k Nw_tos ip6.Ipv6.tclass;
-            set k Nw_ttl ip6.Ipv6.hop_limit
+    end
+    else if eth_type = Ethernet.Ethertype.ipv6 then begin
+      if len >= l3 + Ipv6.header_len then begin
+        let w0 = u32 d s l3 in
+        if w0 lsr 28 = 6 then begin
+          buf.Buffer.l4_ofs <- l3 + Ipv6.header_len;
+          set k Ip6_src_hi (fold_ip6_half d s (l3 + 8));
+          set k Ip6_src_lo (fold_ip6_half d s (l3 + 16));
+          set k Ip6_dst_hi (fold_ip6_half d s (l3 + 24));
+          set k Ip6_dst_lo (fold_ip6_half d s (l3 + 32));
+          set k Nw_proto (u8 d s (l3 + 6));
+          set k Nw_tos ((w0 lsr 20) land 0xFF);
+          set k Nw_ttl (u8 d s (l3 + 7))
+        end
       end
-      else if eth.Ethernet.eth_type = Ethernet.Ethertype.arp then begin
-        match Arp.parse buf with
-        | None -> ()
-        | Some a ->
-            (* OVS convention: ARP op in nw_proto, spa/tpa in nw_src/dst *)
-            set k Nw_proto a.Arp.op;
-            set k Nw_src a.Arp.spa;
-            set k Nw_dst a.Arp.tpa
+    end
+    else if eth_type = Ethernet.Ethertype.arp then begin
+      if
+        len >= l3 + Arp.payload_len
+        && u16 d s l3 = 1 (* htype ethernet *)
+        && u16 d s (l3 + 2) = Ethernet.Ethertype.ipv4
+      then begin
+        (* OVS convention: ARP op in nw_proto, spa/tpa in nw_src/dst *)
+        set k Nw_proto (u16 d s (l3 + 6));
+        set k Nw_src (u32 d s (l3 + 14));
+        set k Nw_dst (u32 d s (l3 + 24))
       end
-    end);
+    end
+  end
+
+(** {!extract_into} a fresh key. *)
+let extract (buf : Buffer.t) : t =
+  let k = create () in
+  extract_into k buf;
   k
 
 let pp ppf (k : t) =

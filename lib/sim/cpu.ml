@@ -18,13 +18,18 @@ let category_to_string = function
   | Softirq -> "softirq"
   | Guest -> "guest"
 
-type ctx = {
-  name : string;
+(* The four clocks live in an all-float record, which OCaml stores flat:
+   charging one writes an unboxed float in place. In a record that also
+   held the name, every charge would allocate a boxed float — and, the
+   context being long-lived, promote it to the major heap. *)
+type clocks = {
   mutable user : Time.ns;
   mutable system : Time.ns;
   mutable softirq : Time.ns;
   mutable guest : Time.ns;
 }
+
+type ctx = { name : string; clk : clocks }
 
 type t = { mutable ctxs : ctx list }
 (** A machine: the collection of execution contexts created for a run. *)
@@ -32,24 +37,28 @@ type t = { mutable ctxs : ctx list }
 let create () = { ctxs = [] }
 
 let ctx t name =
-  let c = { name; user = 0.; system = 0.; softirq = 0.; guest = 0. } in
+  let c = { name; clk = { user = 0.; system = 0.; softirq = 0.; guest = 0. } } in
   t.ctxs <- c :: t.ctxs;
   c
 
 let charge c cat (ns : Time.ns) =
+  let k = c.clk in
   match cat with
-  | User -> c.user <- c.user +. ns
-  | System -> c.system <- c.system +. ns
-  | Softirq -> c.softirq <- c.softirq +. ns
-  | Guest -> c.guest <- c.guest +. ns
+  | User -> k.user <- k.user +. ns
+  | System -> k.system <- k.system +. ns
+  | Softirq -> k.softirq <- k.softirq +. ns
+  | Guest -> k.guest <- k.guest +. ns
 
-let busy c = c.user +. c.system +. c.softirq +. c.guest
+let busy c =
+  let k = c.clk in
+  k.user +. k.system +. k.softirq +. k.guest
 
 let reset c =
-  c.user <- 0.;
-  c.system <- 0.;
-  c.softirq <- 0.;
-  c.guest <- 0.
+  let k = c.clk in
+  k.user <- 0.;
+  k.system <- 0.;
+  k.softirq <- 0.;
+  k.guest <- 0.
 
 (** Busy time of the bottleneck context: the virtual wall time of a fully
     pipelined run in which every context processes the same packet stream. *)
@@ -77,8 +86,8 @@ let breakdown ?(poll_floor = []) t ~wall =
       (fun c ->
         let polls = List.memq c poll_floor in
         let scale x = x /. wall in
-        let u = scale c.user and s = scale c.system in
-        let si = scale c.softirq and g = scale c.guest in
+        let u = scale c.clk.user and s = scale c.clk.system in
+        let si = scale c.clk.softirq and g = scale c.clk.guest in
         (* A polling thread spends its idle cycles spinning in the same
            category as its useful work; attribute the round-up to its
            dominant category. *)

@@ -24,7 +24,9 @@
     oracles catch a double-consume. *)
 
 type desc = { addr : int; len : int }
-(** [addr] is a umem frame index; [len] the packet length within it. *)
+(** [addr] is a umem frame index; [len] the packet length within it. The
+    ring stores descriptors unboxed (see [t]); this record is only the
+    shape {!consume} and the introspection calls hand back. *)
 
 (* A cursor is a monotonically increasing total count (never masked).
    Exactly one side writes each cursor; the other side only reads it. *)
@@ -37,10 +39,15 @@ let cursor_get = function Plain r -> !r | Atomic a -> Atomic.get a
    every slot write the new value covers was sequenced before it. *)
 let cursor_set c v = match c with Plain r -> r := v | Atomic a -> Atomic.set a v
 
+(* Slot [i] holds the descriptor (addrs.(i), lens.(i)). Two int arrays
+   rather than an array of records: producing a descriptor writes two
+   immediates and allocates nothing, so a long-lived ring never drags
+   freshly allocated records into the major heap. *)
 type t = {
   size : int;
   mask : int;
-  entries : desc array;
+  addrs : int array;
+  lens : int array;
   prod : cursor;  (** total descriptors ever produced; written by producer only *)
   cons : cursor;  (** total descriptors ever consumed; written by consumer only *)
   mutable prod_ops : int;
@@ -56,7 +63,8 @@ let create ?(atomic = false) ~size () =
   {
     size;
     mask = size - 1;
-    entries = Array.make size { addr = 0; len = 0 };
+    addrs = Array.make size 0;
+    lens = Array.make size 0;
     prod = cursor_make ~atomic 0;
     cons = cursor_make ~atomic 0;
     prod_ops = 0;
@@ -84,13 +92,17 @@ let free_space t = t.size - available t
 let is_empty t = available t = 0
 let is_full t = free_space t = 0
 
+let slot t i = { addr = t.addrs.(i land t.mask); len = t.lens.(i land t.mask) }
+
 (** Produce one descriptor. Returns [false] (and drops) when full. *)
-let produce t d =
+let produce t ~addr ~len =
   t.prod_ops <- t.prod_ops + 1;
   let p = cursor_get t.prod in
   if p - cursor_get t.cons >= t.size then false
   else begin
-    t.entries.(p land t.mask) <- d;
+    let i = p land t.mask in
+    t.addrs.(i) <- addr;
+    t.lens.(i) <- len;
     cursor_set t.prod (p + 1);
     true
   end
@@ -101,47 +113,41 @@ let consume t =
   let c = cursor_get t.cons in
   if cursor_get t.prod - c = 0 then None
   else begin
-    let d = t.entries.(c land t.mask) in
+    let d = slot t c in
     cursor_set t.cons (c + 1);
     Some d
   end
 
-let push = produce
-let pop = consume
-
-(** Consume up to [max] descriptors into a list (oldest first). One ring
-    operation regardless of the count — batching is the point (O3). The
-    consumer cursor is published once, after every slot has been read. *)
-let pop_burst t ~max =
+(** Consume up to [max] descriptors into [addrs]/[lens] from index 0
+    (oldest first); returns how many. One ring operation regardless of
+    the count — batching is the point (O3). The consumer cursor is
+    published once, after every slot has been read. *)
+let pop_burst t ~max addrs lens =
   t.cons_ops <- t.cons_ops + 1;
   let c = cursor_get t.cons in
   let n = Int.min max (cursor_get t.prod - c) in
-  let rec take i acc =
-    if i >= n then List.rev acc
-    else take (i + 1) (t.entries.((c + i) land t.mask) :: acc)
-  in
-  let ds = take 0 [] in
+  for k = 0 to n - 1 do
+    let i = (c + k) land t.mask in
+    addrs.(k) <- t.addrs.(i);
+    lens.(k) <- t.lens.(i)
+  done;
   if n > 0 then cursor_set t.cons (c + n);
-  ds
+  n
 
-(** Produce a batch; returns how many fit. One ring operation; the producer
-    cursor is published once, after every slot has been written. *)
-let push_burst t ds =
+(** Produce the first [n] descriptors of [addrs]/[lens]; returns how
+    many fit. One ring operation; the producer cursor is published once,
+    after every slot has been written. *)
+let push_burst t addrs lens n =
   t.prod_ops <- t.prod_ops + 1;
-  let c = cursor_get t.cons in
   let p0 = cursor_get t.prod in
-  let rec put p = function
-    | [] -> p
-    | d :: rest ->
-        if p - c >= t.size then p
-        else begin
-          t.entries.(p land t.mask) <- d;
-          put (p + 1) rest
-        end
-  in
-  let p = put p0 ds in
-  if p > p0 then cursor_set t.prod p;
-  p - p0
+  let n = Int.min n (t.size - (p0 - cursor_get t.cons)) in
+  for k = 0 to n - 1 do
+    let i = (p0 + k) land t.mask in
+    t.addrs.(i) <- addrs.(k);
+    t.lens.(i) <- lens.(k)
+  done;
+  if n > 0 then cursor_set t.prod (p0 + n);
+  n
 
 (** Snapshot of the descriptors currently pending (oldest first) without
     consuming them or counting a ring operation — introspection for
@@ -150,13 +156,13 @@ let push_burst t ds =
     on an atomic ring. *)
 let pending t =
   let c = cursor_get t.cons in
-  List.init (cursor_get t.prod - c) (fun i -> t.entries.((c + i) land t.mask))
+  List.init (cursor_get t.prod - c) (fun i -> slot t (c + i))
 
 (** [peek t i] is the [i]-th pending descriptor (0 = oldest) without
     consuming it. @raise Invalid_argument when fewer than [i+1] pending. *)
 let peek t i =
   if i < 0 || i >= available t then invalid_arg "Ring.peek: out of range";
-  t.entries.((cursor_get t.cons + i) land t.mask)
+  slot t (cursor_get t.cons + i)
 
 (** Rewind the consumer cursor by one — a deliberate double-consume
     corruption. This exists solely for the schedule explorer's mutation

@@ -17,7 +17,10 @@
     cost model is unaffected by the cursor representation. *)
 
 type desc = { addr : int; len : int }
-(** [addr] is a umem frame index; [len] the packet length within it. *)
+(** [addr] is a umem frame index; [len] the packet length within it. The
+    ring stores descriptors unboxed, as two int arrays, so producing one
+    allocates nothing; this record is only the shape {!consume} and the
+    introspection calls return. *)
 
 type t
 
@@ -46,27 +49,25 @@ val free_space : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
 
-val produce : t -> desc -> bool
+val produce : t -> addr:int -> len:int -> bool
 (** Produce one descriptor; [false] (dropped) when full. Producer side
     only. *)
 
 val consume : t -> desc option
 (** Consume one descriptor, or [None] when empty. Consumer side only. *)
 
-val push : t -> desc -> bool
-(** Alias of {!produce}, under the name the datapath has always used. *)
+val pop_burst : t -> max:int -> int array -> int array -> int
+(** [pop_burst t ~max addrs lens] consumes up to [max] descriptors into
+    [addrs]/[lens] from index 0, oldest first, and returns how many —
+    one ring operation, batching being the point of optimization O3. The
+    consumer cursor is published once, after the whole batch is read.
+    The arrays must hold [max] entries (or the ring's size). *)
 
-val pop : t -> desc option
-(** Alias of {!consume}. *)
-
-val pop_burst : t -> max:int -> desc list
-(** Consume up to [max] descriptors, oldest first, as one ring operation —
-    batching is the point of optimization O3. The consumer cursor is
-    published once, after the whole batch is read. *)
-
-val push_burst : t -> desc list -> int
-(** Produce a batch; returns how many fit. One ring operation; the
-    producer cursor is published once, after the whole batch is written. *)
+val push_burst : t -> int array -> int array -> int -> int
+(** [push_burst t addrs lens n] produces the first [n] descriptors of
+    [addrs]/[lens]; returns how many fit. One ring operation; the
+    producer cursor is published once, after the whole batch is
+    written. *)
 
 val pending : t -> desc list
 (** Snapshot of the descriptors currently pending (oldest first), without

@@ -13,6 +13,9 @@ type t = {
   birth : float array;
       (** per-frame ingress timestamp, the model's stand-in for the XDP
           metadata area in front of the packet; negative = unstamped *)
+  bufs : Ovs_packet.Buffer.t array;
+      (** one preallocated packet buffer per frame, aliasing the frame's
+          bytes — the preallocated dp_packet array of optimization O4 *)
 }
 
 let default_frame_size = 2048
@@ -20,14 +23,19 @@ let default_frame_headroom = 256
 
 let create ?(frame_size = default_frame_size)
     ?(frame_headroom = default_frame_headroom) ~n_frames ~ring_size () =
+  let data = Bytes.make (frame_size * n_frames) '\000' in
   {
     frame_size;
     frame_headroom;
     n_frames;
-    data = Bytes.make (frame_size * n_frames) '\000';
+    data;
     fill = Ring.create ~size:ring_size ();
     completion = Ring.create ~size:ring_size ();
     birth = Array.make n_frames (-1.);
+    bufs =
+      Array.init n_frames (fun _ ->
+          { (Ovs_packet.Buffer.create ~headroom:0 ~size:0 ()) with
+            Ovs_packet.Buffer.data });
   }
 
 (** Byte offset of frame [idx]'s packet area (after headroom). *)
@@ -55,25 +63,22 @@ let dma_into_frame t idx (src : Bytes.t) ~src_off ~len =
   if len > frame_capacity t then invalid_arg "Umem.dma_into_frame: frame overflow";
   Bytes.blit src src_off t.data (frame_offset t idx) len
 
-(** A packet buffer whose bytes alias frame [idx] in place — userspace
-    processing of an AF_XDP packet is zero-copy. The buffer's headroom is
-    the frame headroom, so tunnel encap works without copies too. *)
+(** Frame [idx]'s packet buffer, its bytes aliasing the frame in place —
+    userspace processing of an AF_XDP packet is zero-copy. The buffer is
+    the frame's preallocated one, reset to fresh metadata (length [len],
+    the frame's ingress stamp): no allocation per packet (O4). Its
+    headroom is the frame headroom, so tunnel encap works without copies
+    too. The buffer is valid until the frame is received again; a packet
+    that must outlive that (a parked upcall) needs a private copy. *)
 let buffer_of_frame t idx ~len : Ovs_packet.Buffer.t =
-  let open Ovs_packet in
-  {
-    Buffer.data = t.data;
-    start = frame_offset t idx;
-    len;
-    in_port = -1;
-    rss_hash = 0;
-    l3_ofs = -1;
-    l4_ofs = -1;
-    recirc_id = 0;
-    ct_state = 0;
-    ct_zone = 0;
-    ct_mark = 0;
-    tunnel = None;
-    birth_ns = t.birth.(idx);
-    regs = Array.make 8 0;
-    offload = Buffer.fresh_offload ();
-  }
+  let start = frame_offset t idx in
+  let b = t.bufs.(idx) in
+  Ovs_packet.Buffer.reset_metadata b;
+  b.Ovs_packet.Buffer.data <- t.data;
+  b.Ovs_packet.Buffer.start <- start;
+  b.Ovs_packet.Buffer.len <- len;
+  (* reset_metadata leaves the buffer unstamped; storing only a real
+     stamp keeps the common case from boxing a float *)
+  let birth = t.birth.(idx) in
+  if birth >= 0. then b.Ovs_packet.Buffer.birth_ns <- birth;
+  b

@@ -73,22 +73,25 @@ let is_contended t = t.contended
 
 let available t = t.top
 
-(* Run [f] as the operation's critical section. In contended mode the
-   data-structure work happens under one real acquisition, then [locks - 1]
-   further acquire/release pairs generate the per-frame lock traffic the
-   non-batched strategies (Mutex, Spinlock) are charged for — real
+(* Every operation's data-structure work runs between [enter] and
+   [leave] (or [abort], which releases the lock and re-raises). In
+   contended mode that is one real acquisition; [leave] then makes
+   [locks - 1] further acquire/release pairs, the per-frame lock traffic
+   the non-batched strategies (Mutex, Spinlock) are charged for — real
    cache-line contention proportional to the modeled acquisition count. *)
-let with_lock t ~locks f =
-  if not t.contended then f ()
-  else begin
-    Mutex.lock t.lk;
-    let r = try f () with e -> Mutex.unlock t.lk; raise e in
+let enter t = if t.contended then Mutex.lock t.lk
+
+let abort t e =
+  if t.contended then Mutex.unlock t.lk;
+  raise e
+
+let leave t ~locks =
+  if t.contended then begin
     Mutex.unlock t.lk;
     for _ = 2 to locks do
       Mutex.lock t.lk;
       Mutex.unlock t.lk
-    done;
-    r
+    done
   end
 
 let lock_once t = t.stats.lock_acquisitions <- t.stats.lock_acquisitions + 1
@@ -110,31 +113,36 @@ let apply_leak t =
 
 (** Take one frame, locking per the strategy. [None] when exhausted. *)
 let get t =
-  with_lock t ~locks:1 @@ fun () ->
+  enter t;
   lock_once t;
   t.stats.frame_ops <- t.stats.frame_ops + 1;
-  if Faults.umem_exhausted () then begin
-    exhaust t 1;
-    None
-  end
-  else begin
-    apply_leak t;
-    if t.top = 0 then begin
+  let r =
+    if Faults.umem_exhausted () then begin
       exhaust t 1;
       None
     end
     else begin
-      t.top <- t.top - 1;
-      Some t.free.(t.top)
+      apply_leak t;
+      if t.top = 0 then begin
+        exhaust t 1;
+        None
+      end
+      else begin
+        t.top <- t.top - 1;
+        Some t.free.(t.top)
+      end
     end
-  end
+  in
+  leave t ~locks:1;
+  r
 
 let put t frame =
-  with_lock t ~locks:1 @@ fun () ->
+  enter t;
   lock_once t;
   t.stats.frame_ops <- t.stats.frame_ops + 1;
-  t.free.(t.top) <- frame;
-  t.top <- t.top + 1
+  (try t.free.(t.top) <- frame with e -> abort t e);
+  t.top <- t.top + 1;
+  leave t ~locks:1
 
 (** Take up to [n] frames. Under [Spinlock_batched] this is one lock
     acquisition; under the other strategies it costs one per frame.
@@ -145,27 +153,29 @@ let put t frame =
     only truth about how many frames the caller now owns. *)
 let get_batch t n =
   let locks = match t.strategy with Spinlock_batched -> 1 | Mutex | Spinlock -> n in
-  with_lock t ~locks @@ fun () ->
+  enter t;
   t.stats.batch_ops <- t.stats.batch_ops + 1;
   t.stats.lock_acquisitions <- t.stats.lock_acquisitions + locks;
   t.stats.frame_ops <- t.stats.frame_ops + n;
-  if Faults.umem_exhausted () then begin
-    exhaust t n;
-    []
-  end
-  else begin
-    apply_leak t;
-    let got = Int.min n t.top in
-    if got < n then exhaust t (n - got);
-    let rec take i acc =
-      if i >= got then acc
-      else begin
+  let frames =
+    if Faults.umem_exhausted () then begin
+      exhaust t n;
+      []
+    end
+    else begin
+      apply_leak t;
+      let got = Int.min n t.top in
+      if got < n then exhaust t (n - got);
+      let acc = ref [] in
+      for _ = 1 to got do
         t.top <- t.top - 1;
-        take (i + 1) (t.free.(t.top) :: acc)
-      end
-    in
-    take 0 []
-  end
+        acc := t.free.(t.top) :: !acc
+      done;
+      !acc
+    end
+  in
+  leave t ~locks;
+  frames
 
 (** Alias of {!get_batch} under its OVS name, same partial-batch
     semantics. *)
@@ -174,15 +184,19 @@ let alloc_batch = get_batch
 let put_batch t frames =
   let n = List.length frames in
   let locks = match t.strategy with Spinlock_batched -> 1 | Mutex | Spinlock -> n in
-  with_lock t ~locks @@ fun () ->
+  enter t;
   t.stats.batch_ops <- t.stats.batch_ops + 1;
   t.stats.lock_acquisitions <- t.stats.lock_acquisitions + locks;
   t.stats.frame_ops <- t.stats.frame_ops + n;
-  List.iter
-    (fun f ->
-      t.free.(t.top) <- f;
-      t.top <- t.top + 1)
-    frames
+  let rec push = function
+    | [] -> ()
+    | f :: rest ->
+        t.free.(t.top) <- f;
+        t.top <- t.top + 1;
+        push rest
+  in
+  (try push frames with e -> abort t e);
+  leave t ~locks
 
 let leaked_count t = List.length t.leaked
 

@@ -31,6 +31,14 @@ type t = {
           poll an XSK — the runtime claims ownership at assignment time. *)
   fill_target : int;
       (** steady-state fill level the rx path tops the fill ring up to *)
+  k_addr : int array;
+  k_len : int array;
+      (** kernel-side scratch for popping one fill descriptor *)
+  u_addrs : int array;
+  u_lens : int array;
+      (** userspace-side scratch for burst pops, one slot per ring entry;
+          separate from the kernel side's so the two sides of a
+          cross-domain socket never share a scratch array *)
 }
 
 let default_fill_target = 1024
@@ -60,6 +68,10 @@ let create ?(ring_size = 2048) ?(fill_target = default_fill_target)
     kicks = 0;
     owner_pmd = -1;
     fill_target;
+    k_addr = [| 0 |];
+    k_len = [| 0 |];
+    u_addrs = Array.make ring_size 0;
+    u_lens = Array.make ring_size 0;
   }
 
 (** Claim (or release, with [-1]) this socket's rings for one PMD. *)
@@ -79,81 +91,86 @@ let refill t n =
   let want = Int.max n deficit in
   if want <= 0 then 0
   else
-    let frames = Umempool.get_batch t.pool want in
-    List.fold_left
-      (fun posted f ->
-        if Ring.push t.fill { Ring.addr = f; len = 0 } then posted + 1
-        else begin
-          Umempool.put t.pool f;
-          posted
-        end)
-      0 frames
+    let rec post posted = function
+      | [] -> posted
+      | f :: rest ->
+          if Ring.produce t.fill ~addr:f ~len:0 then post (posted + 1) rest
+          else begin
+            Umempool.put t.pool f;
+            post posted rest
+          end
+    in
+    post 0 (Umempool.get_batch t.pool want)
 
-(** Kernel: deliver one received packet into the socket. Copies the wire
-    bytes into a fill-ring frame (the DMA step) and posts an rx descriptor.
-    [?birth_ns] stamps the frame's XDP-metadata ingress timestamp so the
-    latency measurement survives the kernel/userspace crossing (the wire
-    bytes carry no metadata). Returns [false] if the packet had to be
+(** Kernel: deliver one received packet into the socket. Copies [len]
+    wire bytes from [wire] at [src_off] into a fill-ring frame (the DMA
+    step) and posts an rx descriptor. [birth_ns] stamps the frame's
+    XDP-metadata ingress timestamp so the latency measurement survives
+    the kernel/userspace crossing (the wire bytes carry no metadata);
+    negative means unstamped. Returns [false] if the packet had to be
     dropped — including frames larger than the umem frame size (AF_XDP of
     this era had no multi-buffer support, so jumbo/TSO frames cannot ride
     an XSK). *)
-let kernel_rx ?(birth_ns = -1.) t (wire : Bytes.t) ~len =
+let kernel_rx t ~birth_ns (wire : Bytes.t) ~src_off ~len =
   if len > Umem.frame_capacity t.umem then begin
     t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
     Ovs_sim.Coverage.incr cov_rx_no_frame;
     false
   end
-  else
-  match Ring.pop t.fill with
-  | None ->
-      t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
-      Ovs_sim.Coverage.incr cov_rx_no_frame;
+  else if Ring.pop_burst t.fill ~max:1 t.k_addr t.k_len = 0 then begin
+    t.rx_dropped_no_frame <- t.rx_dropped_no_frame + 1;
+    Ovs_sim.Coverage.incr cov_rx_no_frame;
+    false
+  end
+  else begin
+    let frame = t.k_addr.(0) in
+    Umem.dma_into_frame t.umem frame wire ~src_off ~len;
+    Umem.set_birth t.umem frame birth_ns;
+    if Ring.produce t.rx ~addr:frame ~len then begin
+      t.rx_delivered <- t.rx_delivered + 1;
+      true
+    end
+    else begin
+      (* rx ring full: frame goes back to the fill ring, packet is lost *)
+      ignore (Ring.produce t.fill ~addr:frame ~len:0);
+      t.rx_dropped_ring_full <- t.rx_dropped_ring_full + 1;
+      Ovs_sim.Coverage.incr cov_rx_ring_full;
       false
-  | Some { Ring.addr = frame; _ } ->
-      Umem.dma_into_frame t.umem frame wire ~src_off:0 ~len;
-      Umem.set_birth t.umem frame birth_ns;
-      if Ring.push t.rx { Ring.addr = frame; len } then begin
-        t.rx_delivered <- t.rx_delivered + 1;
-        true
-      end
-      else begin
-        (* rx ring full: frame goes back to the fill ring, packet is lost *)
-        ignore (Ring.push t.fill { Ring.addr = frame; len = 0 });
-        t.rx_dropped_ring_full <- t.rx_dropped_ring_full + 1;
-        Ovs_sim.Coverage.incr cov_rx_ring_full;
-        false
-      end
+    end
+  end
 
-(** Userspace: receive a burst of packets as zero-copy buffers aliasing
-    their umem frames. Each returned pair is (frame index, buffer). *)
-let rx_burst t ~max : (int * Ovs_packet.Buffer.t) list =
-  let descs = Ring.pop_burst t.rx ~max in
-  List.map
-    (fun { Ring.addr; len } -> (addr, Umem.buffer_of_frame t.umem addr ~len))
-    descs
+(** Userspace: receive a burst of up to [max] packets into the caller's
+    arrays — [frames.(i)] the umem frame, [bufs.(i)] its zero-copy buffer
+    ({!Umem.buffer_of_frame}: valid until that frame is received again)
+    — and return how many. Both arrays must hold [max] entries. *)
+let rx_burst t ~max (frames : int array) (bufs : Ovs_packet.Buffer.t array) =
+  let n = Ring.pop_burst t.rx ~max frames t.u_lens in
+  for i = 0 to n - 1 do
+    bufs.(i) <- Umem.buffer_of_frame t.umem frames.(i) ~len:t.u_lens.(i)
+  done;
+  n
 
 (** Userspace: queue a frame for transmission. The data is already in the
     umem (zero-copy); the kick syscall happens in {!flush_tx}. *)
-let tx t ~frame ~len = Ring.push t.tx { Ring.addr = frame; len }
+let tx t ~frame ~len = Ring.produce t.tx ~addr:frame ~len
 
 (** Userspace: kick the kernel to transmit queued descriptors (one sendto
     per call — this is the AF_XDP tx syscall overhead of Sec 5.5) and
     recycle completed frames back to the pool. Returns the number sent. *)
 let flush_tx t =
-  let descs = Ring.pop_burst t.tx ~max:max_int in
-  match descs with
-  | [] -> 0
-  | _ ->
-      t.kicks <- t.kicks + 1;
-      let frames = List.map (fun d -> d.Ring.addr) descs in
-      (* completion-ring round trip, then frames return to the pool *)
-      List.iter
-        (fun f -> ignore (Ring.push t.comp { Ring.addr = f; len = 0 }))
-        frames;
-      let done_ = Ring.pop_burst t.comp ~max:max_int in
-      Umempool.put_batch t.pool (List.map (fun d -> d.Ring.addr) done_);
-      t.tx_sent <- t.tx_sent + List.length descs;
-      List.length descs
+  let n = Ring.pop_burst t.tx ~max:max_int t.u_addrs t.u_lens in
+  if n = 0 then 0
+  else begin
+    t.kicks <- t.kicks + 1;
+    (* completion-ring round trip, then frames return to the pool *)
+    for i = 0 to n - 1 do
+      ignore (Ring.produce t.comp ~addr:t.u_addrs.(i) ~len:0)
+    done;
+    let done_ = Ring.pop_burst t.comp ~max:max_int t.u_addrs t.u_lens in
+    Umempool.put_batch t.pool (List.init done_ (fun i -> t.u_addrs.(i)));
+    t.tx_sent <- t.tx_sent + n;
+    n
+  end
 
 (** Userspace: return a received frame to the pool without transmitting
     (packet consumed locally or dropped). *)

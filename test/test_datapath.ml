@@ -274,23 +274,23 @@ let test_userspace_cost_charged_to_user () =
   let r = make_rig ~kind:Dpif.Dpdk () in
   forward_rule r;
   push_and_poll r;
-  Alcotest.(check bool) "user time" true (r.pmd.Cpu.user > 0.);
-  check (Alcotest.float 0.0) "dpdk: no softirq" 0. r.softirq.Cpu.softirq
+  Alcotest.(check bool) "user time" true (r.pmd.Cpu.clk.Cpu.user > 0.);
+  check (Alcotest.float 0.0) "dpdk: no softirq" 0. r.softirq.Cpu.clk.Cpu.softirq
 
 let test_kernel_cost_charged_to_softirq () =
   let r = make_rig ~kind:Dpif.Kernel () in
   forward_rule r;
   push_and_poll r;
-  Alcotest.(check bool) "softirq time" true (r.softirq.Cpu.softirq > 0.);
-  check (Alcotest.float 0.0) "kernel: no PMD user time" 0. r.pmd.Cpu.user
+  Alcotest.(check bool) "softirq time" true (r.softirq.Cpu.clk.Cpu.softirq > 0.);
+  check (Alcotest.float 0.0) "kernel: no PMD user time" 0. r.pmd.Cpu.clk.Cpu.user
 
 let test_afxdp_splits_cost () =
   let r = make_rig () in
   forward_rule r;
   push_and_poll r;
-  Alcotest.(check bool) "softirq side (driver+XDP)" true (r.softirq.Cpu.softirq > 0.);
-  Alcotest.(check bool) "user side (PMD)" true (r.pmd.Cpu.user > 0.);
-  Alcotest.(check bool) "system side (tx kick)" true (r.pmd.Cpu.system > 0.)
+  Alcotest.(check bool) "softirq side (driver+XDP)" true (r.softirq.Cpu.clk.Cpu.softirq > 0.);
+  Alcotest.(check bool) "user side (PMD)" true (r.pmd.Cpu.clk.Cpu.user > 0.);
+  Alcotest.(check bool) "system side (tx kick)" true (r.pmd.Cpu.clk.Cpu.system > 0.)
 
 let test_afxdp_ladder_monotone_cost () =
   (* each optimization must not make the per-packet cost worse *)

@@ -629,6 +629,115 @@ let test_tail_call_three_stage_pipeline () =
   let o = run_prog ~pkt stage1 in
   Alcotest.(check bool) "chained to the act stage (TX)" true (o.Vm.action = Vm.Tx)
 
+(* -- reused per-run state -- *)
+
+(* Every program of the library, with maps that let each path fire
+   (an L2 hit, a load-balancer session, bound XSK and devmap slots),
+   plus tail-call chains: three stages, a self-call at the depth bound,
+   an empty slot. *)
+let reset_programs () =
+  fresh_maps ();
+  Vm.reset_programs ();
+  let l2_table = Maps.create ~name:"l2" ~kind:Maps.Hash ~max_entries:16 in
+  ignore (Maps.update l2_table (Int64.of_int (Ovs_packet.Mac.of_index 2)) 7L);
+  let sessions = Maps.create ~name:"lb" ~kind:Maps.Hash ~max_entries:16 in
+  let xskmap = Maps.create ~name:"xsk" ~kind:Maps.Xskmap ~max_entries:4 in
+  ignore (Maps.update xskmap 0L 0L);
+  let mac_to_dev = Maps.create ~name:"macs" ~kind:Maps.Devmap ~max_entries:8 in
+  ignore (Maps.update mac_to_dev (Int64.of_int (Ovs_packet.Mac.of_index 2)) 5L);
+  (* the session key the load balancer computes for the default UDP
+     packet (as in the load-balancer test) *)
+  let k = Ovs_packet.Flow_key.extract (ipv4_packet ()) in
+  let g f = Int64.of_int (Ovs_packet.Flow_key.get k f) in
+  let open Ovs_packet.Flow_key.Field in
+  let key =
+    Int64.logxor
+      (Int64.logxor
+         (Int64.logxor (g Nw_src) (Int64.shift_left (g Nw_dst) 17))
+         (Int64.shift_left
+            (Int64.logor (Int64.shift_left (g Tp_src) 16) (g Tp_dst))
+            31))
+      (g Nw_proto)
+  in
+  ignore (Maps.update sessions key (Int64.of_int (Ovs_packet.Mac.of_index 33)));
+  (* two probes of state the library never touches: the trace
+     accumulator, and a redirect verdict with no redirect_map call *)
+  let traced =
+    let b = Asm.builder () in
+    Asm.mov b Insn.R1 42;
+    Asm.call b Insn.Trace;
+    Asm.ret b Asm.xdp_pass;
+    Asm.finish b
+  in
+  let bare_redirect =
+    let b = Asm.builder () in
+    Asm.ret b 4;
+    Asm.finish b
+  in
+  let pa = Maps.create ~name:"progs" ~kind:Maps.Prog_array ~max_entries:4 in
+  let stage3 = Xdp.load_exn ~name:"act" Progs.task_d in
+  Xdp.install_in_prog_array stage3 pa ~slot:2;
+  let stage2 =
+    Xdp.load_exn ~name:"lookup"
+      (tail_call_prog ~prog_array:pa ~slot:2 ~fallthrough:Asm.xdp_drop)
+  in
+  Xdp.install_in_prog_array stage2 pa ~slot:1;
+  let self = tail_call_prog ~prog_array:pa ~slot:0 ~fallthrough:Asm.xdp_pass in
+  ignore (Maps.update pa 0L (Int64.of_int (Vm.register_program self)));
+  Progs.all ~l2_table ~sessions ~xskmap ~mac_to_dev
+  @ [
+      ("trace", traced);
+      ("redirect verdict, no target", bare_redirect);
+      ("tail chain", tail_call_prog ~prog_array:pa ~slot:1 ~fallthrough:Asm.xdp_drop);
+      ("tail self", self);
+      ("tail empty slot", tail_call_prog ~prog_array:pa ~slot:3 ~fallthrough:Asm.xdp_drop);
+    ]
+
+(* packets that steer the programs down their different paths, whole or
+   cut short *)
+let gen_vm_packet =
+  let open QCheck.Gen in
+  let mac = map Ovs_packet.Mac.of_index (int_range 1 3) in
+  let whole =
+    oneof
+      [
+        map2 (fun dst_mac sp -> B.udp ~dst_mac ~src_port:sp ()) mac (int_bound 0xFFFF);
+        return (ipv4_packet ());
+        map (fun dp -> B.tcp ~dst_port:dp ()) (oneofl [ 80; 6653 ]);
+        return (B.arp ~spa:1 ~tpa:2 ());
+      ]
+  in
+  whole >>= fun pkt ->
+  map
+    (fun cut ->
+      let b = Ovs_packet.Buffer.contents pkt in
+      let n = match cut with None -> Bytes.length b | Some n -> n mod (Bytes.length b + 1) in
+      Bytes.to_string (Bytes.sub b 0 n))
+    (opt (int_bound 80))
+
+let prop_vm_state_reset =
+  QCheck.Test.make ~count:300
+    ~name:"a reused VM runs B exactly as a fresh one (every program)"
+    QCheck.(
+      make
+        ~print:(fun (i, a, b) -> Printf.sprintf "first prog %d, A=%S B=%S" i a b)
+        Gen.(triple (int_bound 100) gen_vm_packet gen_vm_packet))
+    (fun (first, a, b) ->
+      let progs = Array.of_list (reset_programs ()) in
+      let pkt s = Ovs_packet.Buffer.of_bytes (Bytes.of_string s) in
+      Array.for_all
+        (fun (_, prog) ->
+          let vm = Vm.create () in
+          let _, prog_a = progs.(first mod Array.length progs) in
+          ignore (Vm.run vm prog_a (pkt a));
+          ignore (Vm.run vm prog (pkt a));
+          let b1 = pkt b and b2 = pkt b in
+          let reused = Vm.run vm prog b1 in
+          let fresh = Vm.run (Vm.create ()) prog b2 in
+          reused = fresh
+          && Bytes.equal (Ovs_packet.Buffer.contents b1) (Ovs_packet.Buffer.contents b2))
+        progs)
+
 let test_verifier_tail_call_types () =
   fresh_maps ();
   let h = Maps.create ~name:"h" ~kind:Maps.Hash ~max_entries:4 in
@@ -751,5 +860,6 @@ let () =
           Alcotest.test_case "three-stage pipeline" `Quick
             test_tail_call_three_stage_pipeline;
           Alcotest.test_case "verifier type checks" `Quick test_verifier_tail_call_types;
-        ] );
+        ]
+        @ qcheck [ prop_vm_state_reset ] );
     ]

@@ -571,6 +571,217 @@ let prop_ipv6_extract_deterministic =
       && FK.get a FK.Field.Dl_type = Ethernet.Ethertype.ipv6
       && FK.get a FK.Field.Ip6_src_lo <> 0)
 
+(* -- extraction against the header parsers -- *)
+
+(* The reference extraction: the composition of the header parsers,
+   kept here as the oracle for [FK.extract], which reads the same fields
+   straight from the bytes. *)
+let reference_extract (buf : Buffer.t) : FK.t =
+  let open FK.Field in
+  let k = FK.create () in
+  FK.set k In_port buf.Buffer.in_port;
+  FK.set k Recirc_id buf.Buffer.recirc_id;
+  FK.set k Ct_state buf.Buffer.ct_state;
+  FK.set k Ct_zone buf.Buffer.ct_zone;
+  FK.set k Ct_mark buf.Buffer.ct_mark;
+  List.iteri
+    (fun i f -> FK.set k f buf.Buffer.regs.(i))
+    [ Reg0; Reg1; Reg2; Reg3; Reg4; Reg5; Reg6; Reg7 ];
+  (match buf.Buffer.tunnel with
+  | Some tmd ->
+      FK.set k Tun_id tmd.Buffer.tun_id;
+      FK.set k Tun_src tmd.Buffer.tun_src;
+      FK.set k Tun_dst tmd.Buffer.tun_dst
+  | None -> ());
+  (match Ethernet.parse buf with
+  | None -> ()
+  | Some eth ->
+      FK.set k Dl_src eth.Ethernet.src;
+      FK.set k Dl_dst eth.Ethernet.dst;
+      FK.set k Dl_type eth.Ethernet.eth_type;
+      FK.set k Vlan_tci eth.Ethernet.vlan_tci;
+      if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv4 then begin
+        match Ipv4.parse buf with
+        | None -> ()
+        | Some ip ->
+            FK.set k Nw_src ip.Ipv4.src;
+            FK.set k Nw_dst ip.Ipv4.dst;
+            FK.set k Nw_proto ip.Ipv4.proto;
+            FK.set k Nw_tos ip.Ipv4.tos;
+            FK.set k Nw_ttl ip.Ipv4.ttl;
+            FK.set k Nw_frag (if Ipv4.is_fragment ip then 1 else 0);
+            if not (Ipv4.is_later_fragment ip) then begin
+              if ip.Ipv4.proto = Ipv4.Proto.udp then
+                Option.iter
+                  (fun u ->
+                    FK.set k Tp_src u.Udp.src_port;
+                    FK.set k Tp_dst u.Udp.dst_port)
+                  (Udp.parse buf)
+              else if ip.Ipv4.proto = Ipv4.Proto.tcp then
+                Option.iter
+                  (fun tc ->
+                    FK.set k Tp_src tc.Tcp.src_port;
+                    FK.set k Tp_dst tc.Tcp.dst_port;
+                    FK.set k Tcp_flags tc.Tcp.flags)
+                  (Tcp.parse buf)
+              else if ip.Ipv4.proto = Ipv4.Proto.icmp then
+                Option.iter
+                  (fun ic ->
+                    FK.set k Tp_src ic.Icmp.icmp_type;
+                    FK.set k Tp_dst ic.Icmp.code)
+                  (Icmp.parse buf)
+            end
+      end
+      else if eth.Ethernet.eth_type = Ethernet.Ethertype.ipv6 then
+        Option.iter
+          (fun ip6 ->
+            let fold h = Int64.to_int (Int64.shift_right_logical h 2) in
+            FK.set k Ip6_src_hi (fold ip6.Ipv6.src.Ipv6.hi);
+            FK.set k Ip6_src_lo (fold ip6.Ipv6.src.Ipv6.lo);
+            FK.set k Ip6_dst_hi (fold ip6.Ipv6.dst.Ipv6.hi);
+            FK.set k Ip6_dst_lo (fold ip6.Ipv6.dst.Ipv6.lo);
+            FK.set k Nw_proto ip6.Ipv6.next_header;
+            FK.set k Nw_tos ip6.Ipv6.tclass;
+            FK.set k Nw_ttl ip6.Ipv6.hop_limit)
+          (Ipv6.parse buf)
+      else if eth.Ethernet.eth_type = Ethernet.Ethertype.arp then
+        Option.iter
+          (fun a ->
+            FK.set k Nw_proto a.Arp.op;
+            FK.set k Nw_src a.Arp.spa;
+            FK.set k Nw_dst a.Arp.tpa)
+          (Arp.parse buf));
+  k
+
+(* One generated case: frame bytes plus the metadata and the stale
+   offsets the buffer starts with. *)
+type extract_case = {
+  bytes : string;
+  in_port : int;
+  recirc : int;
+  ct : int * int * int;
+  regs : int array;
+  tunnel : Buffer.tunnel_md option;
+  ofs0 : int * int;  (** l3_ofs, l4_ofs before extraction *)
+}
+
+let case_buffer c =
+  let buf = Buffer.of_bytes (Bytes.of_string c.bytes) in
+  buf.Buffer.in_port <- c.in_port;
+  buf.Buffer.recirc_id <- c.recirc;
+  (let st, zone, mark = c.ct in
+   buf.Buffer.ct_state <- st;
+   buf.Buffer.ct_zone <- zone;
+   buf.Buffer.ct_mark <- mark);
+  Array.blit c.regs 0 buf.Buffer.regs 0 8;
+  buf.Buffer.tunnel <- c.tunnel;
+  (let l3, l4 = c.ofs0 in
+   buf.Buffer.l3_ofs <- l3;
+   buf.Buffer.l4_ofs <- l4);
+  buf
+
+(* Well-formed frames of every shape extraction distinguishes. *)
+let gen_valid_frame =
+  let open QCheck.Gen in
+  let port = int_bound 0xFFFF and addr = int_bound 0xFFFF_FFFF in
+  let udp =
+    map
+      (fun (sp, dp, src_ip, len) ->
+        Build.udp ~frame_len:(42 + len) ~src_port:sp ~dst_port:dp ~src_ip ())
+      (quad port port addr (int_bound 64))
+  in
+  let tcp =
+    map
+      (fun (sp, dp, flags, len) ->
+        Build.tcp ~src_port:sp ~dst_port:dp ~flags ~payload_len:len ())
+      (quad port port (int_bound 0x3F) (int_bound 32))
+  in
+  let icmp =
+    map (fun (ty, seq) -> Build.icmp ~icmp_type:ty ~seq ()) (pair (int_bound 255) port)
+  in
+  let arp =
+    map
+      (fun (op, spa, tpa) -> Build.arp ~op ~spa ~tpa ())
+      (triple (int_range 1 2) addr addr)
+  in
+  let ipv6 =
+    map
+      (fun (a, b) -> build_ipv6_udp ~src:(Ipv6.addr_of_int a) ~dst:(Ipv6.addr_of_int b) ())
+      (pair addr addr)
+  in
+  let vlan =
+    map
+      (fun (tci, sp) ->
+        let b = Build.udp ~src_port:sp () in
+        Ethernet.push_vlan b ~tci;
+        b)
+      (pair (int_bound 0xFFFF) port)
+  in
+  map
+    (fun b -> Bytes.to_string (Buffer.contents b))
+    (oneof [ udp; tcp; icmp; arp; ipv6; vlan ])
+
+(* Arbitrary bytes, truncated valid frames, and valid frames with a few
+   bytes overwritten (mostly in the headers). *)
+let gen_frame_bytes =
+  let open QCheck.Gen in
+  let arbitrary = string_size ~gen:char (int_bound 80) in
+  let truncated =
+    gen_valid_frame >>= fun f ->
+    map (fun n -> String.sub f 0 n) (int_bound (String.length f))
+  in
+  let mutated =
+    gen_valid_frame >>= fun f ->
+    map
+      (fun edits ->
+        let b = Bytes.of_string f in
+        List.iter
+          (fun (i, c) -> if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c)
+          edits;
+        Bytes.to_string b)
+      (list_size (int_range 1 4) (pair (int_bound 60) char))
+  in
+  frequency [ (1, arbitrary); (2, truncated); (3, mutated); (1, gen_valid_frame) ]
+
+let gen_extract_case =
+  let open QCheck.Gen in
+  let small = int_bound 1000 in
+  map
+    (fun ((bytes, in_port, recirc), (ct, regs), (tunnel, ofs0)) ->
+      { bytes; in_port; recirc; ct; regs; tunnel; ofs0 })
+    (triple
+       (triple gen_frame_bytes small (int_bound 3))
+       (pair (triple (int_bound 0x3F) small small) (array_size (return 8) small))
+       (pair
+          (opt
+             (map
+                (fun (tun_id, tun_src, tun_dst) -> { Buffer.tun_id; tun_src; tun_dst })
+                (triple small small small)))
+          (pair (int_range (-1) 40) (int_range (-1) 60))))
+
+let arb_extract_case =
+  QCheck.make gen_extract_case
+    ~print:(fun c ->
+      Printf.sprintf "bytes=%S l3/l4 before=%d/%d" c.bytes (fst c.ofs0) (snd c.ofs0))
+
+let prop_extract_matches_parsers =
+  QCheck.Test.make ~count:3000
+    ~name:"extract = header-parser composition (keys, l3/l4 offsets, no raise)"
+    arb_extract_case (fun c ->
+      let a = case_buffer c and b = case_buffer c in
+      let got = FK.extract a and want = reference_extract b in
+      FK.equal got want
+      && a.Buffer.l3_ofs = b.Buffer.l3_ofs
+      && a.Buffer.l4_ofs = b.Buffer.l4_ofs)
+
+let prop_extract_into_dirty_key =
+  QCheck.Test.make ~count:1000 ~name:"extract_into a dirty key = extract"
+    QCheck.(pair arb_extract_case (make Gen.(array_size (return FK.Field.count) int)))
+    (fun (c, dirty) ->
+      let k = Array.copy dirty in
+      FK.extract_into k (case_buffer c);
+      FK.equal k (FK.extract (case_buffer c)))
+
 (* -- GSO -- *)
 
 let big_tcp ?(payload = 5000) ?(flags = Tcp.Flags.ack lor Tcp.Flags.psh) () =
@@ -762,6 +973,8 @@ let () =
               prop_extract_deterministic;
               prop_geneve_extract_tunnel_fields;
               prop_ipv6_extract_deterministic;
+              prop_extract_matches_parsers;
+              prop_extract_into_dirty_key;
             ] );
       ( "gso",
         [

@@ -124,6 +124,70 @@ let test_upcall_overflow_counts_lost () =
   check Alcotest.int "no deadlock, burst forwarded" 32
     (r.phy1.Netdev.stats.Netdev.tx_packets - tx0)
 
+(* A retried upcall outlives its poll: by the time the retry queue
+   drains, the umem frame it arrived in has gone back to the pool, been
+   refilled and carried a later packet. On a 64-frame umem that takes
+   two polls, so an upcall storm over two bursts of fresh flows followed
+   by a third burst recycles the first burst's frames while its upcalls
+   are still parked. Every offered packet must still leave with its own
+   bytes: the delivered tp_src multiset equals the offered one. *)
+let test_retried_upcall_keeps_its_bytes () =
+  let module Faults = Ovs_faults.Faults in
+  let pipeline = Ovs_ofproto.Pipeline.create ~n_tables:8 () in
+  let opts = { Dpif.afxdp_default with Dpif.frames_per_queue = 64 } in
+  let dp = Dpif.create ~kind:(Dpif.Afxdp opts) ~pipeline () in
+  let phy0 = Netdev.create ~name:"eth0" ~queues:1 () in
+  let phy1 = Netdev.create ~name:"eth1" ~queues:1 () in
+  let p0 = Dpif.add_port dp phy0 in
+  let p1 = Dpif.add_port dp phy1 in
+  (* the tp_src rule makes every megaflow match on tp_src, so each fresh
+     flow misses and takes an upcall *)
+  ignore
+    (Ovs_ofproto.Parser.install_flows pipeline
+       [
+         "table=0,priority=20,udp,tp_src=1 actions=drop";
+         Printf.sprintf "table=0,priority=10,in_port=%d actions=output:%d" p0 p1;
+       ]);
+  let delivered = ref [] in
+  Netdev.set_tx_sink phy1 (fun _ pkt ->
+      let key = Ovs_packet.Flow_key.extract pkt in
+      delivered :=
+        Ovs_packet.Flow_key.get key Ovs_packet.Flow_key.Field.Tp_src :: !delivered);
+  let machine = Cpu.create () in
+  let softirq = [| Cpu.ctx machine "softirq0" |] in
+  let rt =
+    Pmd.create ~dp ~machine ~softirq ~port_no:p0 ~n_rxqs:1 ~n_pmds:1 ()
+  in
+  let offered = ref [] in
+  let burst base =
+    for i = 0 to 31 do
+      offered := (base + i) :: !offered;
+      ignore (Netdev.enqueue_on phy0 ~queue:0 (B.udp ~src_port:(base + i) ()) : bool)
+    done;
+    ignore (Pmd.poll_all rt : int)
+  in
+  let storm =
+    Faults.plan ~name:"storm"
+      [
+        { Faults.f_name = "storm"; f_action = Faults.Upcall_storm;
+          f_start = 0.; f_stop = Ovs_sim.Time.ms 1. };
+      ]
+  in
+  Faults.arm storm;
+  Fun.protect ~finally:Faults.disarm (fun () ->
+      burst 1000;
+      burst 2000;
+      ignore (Faults.tick (Ovs_sim.Time.ms 2.) : Faults.fault list);
+      burst 3000;
+      while Pmd.queued (List.hd (Pmd.pmds rt)) > 0 do
+        ignore (Pmd.poll_all rt : int)
+      done);
+  let sorted l = List.sort compare l in
+  check Alcotest.int "every packet delivered" 96 (List.length !delivered);
+  check
+    Alcotest.(list int)
+    "delivered tp_src multiset = offered" (sorted !offered) (sorted !delivered)
+
 let test_n_pmds_1_matches_legacy_rate () =
   let legacy = Scenario.run (Scenario.config ~gbps:25. ()) in
   let rt = Scenario.run (Scenario.config ~gbps:25. ~n_pmds:1 ~n_rxqs:1 ()) in
@@ -187,6 +251,8 @@ let () =
             test_per_pmd_totals_match_aggregate;
           Alcotest.test_case "upcall overflow -> lost, no deadlock" `Quick
             test_upcall_overflow_counts_lost;
+          Alcotest.test_case "retried upcall keeps its bytes" `Quick
+            test_retried_upcall_keeps_its_bytes;
           Alcotest.test_case "n_pmds=1 reproduces legacy rates" `Quick
             test_n_pmds_1_matches_legacy_rate;
           Alcotest.test_case "scaling + appctl reports" `Quick

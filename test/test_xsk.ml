@@ -9,10 +9,10 @@ let check = Alcotest.check
 let test_ring_fifo () =
   let r = Ring.create ~size:8 () in
   for i = 1 to 5 do
-    Alcotest.(check bool) "push" true (Ring.push r { Ring.addr = i; len = i })
+    Alcotest.(check bool) "push" true (Ring.produce r ~addr:i ~len:i)
   done;
   for i = 1 to 5 do
-    match Ring.pop r with
+    match Ring.consume r with
     | Some d -> check Alcotest.int "fifo order" i d.Ring.addr
     | None -> Alcotest.fail "unexpected empty"
   done
@@ -21,18 +21,18 @@ let test_ring_full_empty () =
   let r = Ring.create ~size:4 () in
   Alcotest.(check bool) "empty" true (Ring.is_empty r);
   for i = 1 to 4 do
-    Alcotest.(check bool) "fills" true (Ring.push r { Ring.addr = i; len = 0 })
+    Alcotest.(check bool) "fills" true (Ring.produce r ~addr:i ~len:0)
   done;
   Alcotest.(check bool) "full" true (Ring.is_full r);
   Alcotest.(check bool) "push on full fails" false
-    (Ring.push r { Ring.addr = 9; len = 0 });
+    (Ring.produce r ~addr:9 ~len:0);
   check Alcotest.int "available" 4 (Ring.available r)
 
 let test_ring_wraparound () =
   let r = Ring.create ~size:4 () in
   for round = 1 to 10 do
-    Alcotest.(check bool) "push" true (Ring.push r { Ring.addr = round; len = 0 });
-    match Ring.pop r with
+    Alcotest.(check bool) "push" true (Ring.produce r ~addr:round ~len:0);
+    match Ring.consume r with
     | Some d -> check Alcotest.int "wrap value" round d.Ring.addr
     | None -> Alcotest.fail "empty"
   done
@@ -40,19 +40,16 @@ let test_ring_wraparound () =
 let test_ring_pop_burst () =
   let r = Ring.create ~size:16 () in
   for i = 1 to 10 do
-    ignore (Ring.push r { Ring.addr = i; len = 0 })
+    ignore (Ring.produce r ~addr:i ~len:0)
   done;
-  let burst = Ring.pop_burst r ~max:4 in
-  check Alcotest.int "burst size" 4 (List.length burst);
-  check
-    (Alcotest.list Alcotest.int)
-    "burst order" [ 1; 2; 3; 4 ]
-    (List.map (fun d -> d.Ring.addr) burst);
+  let addrs = Array.make 4 0 and lens = Array.make 4 0 in
+  check Alcotest.int "burst size" 4 (Ring.pop_burst r ~max:4 addrs lens);
+  check (Alcotest.array Alcotest.int) "burst order" [| 1; 2; 3; 4 |] addrs;
   check Alcotest.int "remaining" 6 (Ring.available r)
 
 let test_ring_push_burst_partial () =
   let r = Ring.create ~size:4 () in
-  let n = Ring.push_burst r (List.init 6 (fun i -> { Ring.addr = i; len = 0 })) in
+  let n = Ring.push_burst r (Array.init 6 Fun.id) (Array.make 6 0) 6 in
   check Alcotest.int "only capacity accepted" 4 n
 
 let test_ring_rejects_bad_size () =
@@ -62,9 +59,9 @@ let test_ring_rejects_bad_size () =
 
 let test_ring_op_counting () =
   let r = Ring.create ~size:8 () in
-  ignore (Ring.push r { Ring.addr = 0; len = 0 });
-  ignore (Ring.pop r);
-  ignore (Ring.pop_burst r ~max:4);
+  ignore (Ring.produce r ~addr:0 ~len:0);
+  ignore (Ring.consume r);
+  ignore (Ring.pop_burst r ~max:4 (Array.make 4 0) (Array.make 4 0));
   check Alcotest.int "ops counted" 3 (Ring.ops r)
 
 (* -- Umem -- *)
@@ -141,6 +138,10 @@ let test_umempool_lock_costs () =
 
 (* -- Xsk -- *)
 
+(* caller-owned burst arrays for [Xsk.rx_burst] *)
+let burst_arrays n =
+  (Array.make n 0, Array.make n (Ovs_packet.Buffer.create ~size:0 ()))
+
 let make_xsk () =
   let umem = Umem.create ~n_frames:64 ~ring_size:64 () in
   let pool = Umempool.create ~n_frames:64 ~strategy:Umempool.Spinlock_batched () in
@@ -150,19 +151,20 @@ let test_xsk_rx_path () =
   let xsk = make_xsk () in
   ignore (Xsk.refill xsk 16);
   let wire = Ovs_packet.Buffer.contents (Ovs_packet.Build.udp ~frame_len:64 ()) in
-  Alcotest.(check bool) "delivered" true (Xsk.kernel_rx xsk wire ~len:64);
-  match Xsk.rx_burst xsk ~max:32 with
-  | [ (frame, buf) ] ->
-      check Alcotest.int "length" 64 (Ovs_packet.Buffer.length buf);
-      check Alcotest.bytes "bytes" wire (Ovs_packet.Buffer.contents buf);
-      Xsk.release xsk ~frame
-  | l -> Alcotest.failf "expected 1 packet, got %d" (List.length l)
+  Alcotest.(check bool) "delivered" true (Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64);
+  let frames, bufs = burst_arrays 32 in
+  match Xsk.rx_burst xsk ~max:32 frames bufs with
+  | 1 ->
+      check Alcotest.int "length" 64 (Ovs_packet.Buffer.length bufs.(0));
+      check Alcotest.bytes "bytes" wire (Ovs_packet.Buffer.contents bufs.(0));
+      Xsk.release xsk ~frame:frames.(0)
+  | n -> Alcotest.failf "expected 1 packet, got %d" n
 
 let test_xsk_drop_without_fill () =
   let xsk = make_xsk () in
   (* no refill: the fill ring is empty, the kernel must drop *)
   let wire = Bytes.make 64 'x' in
-  Alcotest.(check bool) "dropped" false (Xsk.kernel_rx xsk wire ~len:64);
+  Alcotest.(check bool) "dropped" false (Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64);
   check Alcotest.int "drop counted" 1 xsk.Xsk.rx_dropped_no_frame
 
 let test_xsk_tx_kick_and_recycle () =
@@ -170,10 +172,11 @@ let test_xsk_tx_kick_and_recycle () =
   ignore (Xsk.refill xsk 4);
   let before = Umempool.available xsk.Xsk.pool in
   let wire = Bytes.make 64 'y' in
-  Alcotest.(check bool) "rx" true (Xsk.kernel_rx xsk wire ~len:64);
-  (match Xsk.rx_burst xsk ~max:1 with
-  | [ (frame, _) ] ->
-      Alcotest.(check bool) "queued" true (Xsk.tx xsk ~frame ~len:64);
+  Alcotest.(check bool) "rx" true (Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64);
+  let frames, bufs = burst_arrays 1 in
+  (match Xsk.rx_burst xsk ~max:1 frames bufs with
+  | 1 ->
+      Alcotest.(check bool) "queued" true (Xsk.tx xsk ~frame:frames.(0) ~len:64);
       check Alcotest.int "one kick, one sent" 1 (Xsk.flush_tx xsk);
       check Alcotest.int "kick counted" 1 xsk.Xsk.kicks;
       (* frame returned to the pool through the completion ring *)
@@ -186,25 +189,28 @@ let test_xsk_burst_order () =
   ignore (Xsk.refill xsk 8);
   for i = 0 to 4 do
     let pkt = Ovs_packet.Build.udp ~frame_len:64 ~src_port:(1000 + i) () in
-    ignore (Xsk.kernel_rx xsk (Ovs_packet.Buffer.contents pkt) ~len:64)
+    ignore
+      (Xsk.kernel_rx xsk ~birth_ns:(-1.) pkt.Ovs_packet.Buffer.data
+         ~src_off:pkt.Ovs_packet.Buffer.start ~len:64)
   done;
-  let batch = Xsk.rx_burst xsk ~max:16 in
-  check Alcotest.int "batch" 5 (List.length batch);
-  List.iteri
-    (fun i (_, buf) ->
-      ignore (Ovs_packet.Ethernet.parse buf);
-      ignore (Ovs_packet.Ipv4.parse buf);
-      match Ovs_packet.Udp.parse buf with
-      | Some u -> check Alcotest.int "arrival order" (1000 + i) u.Ovs_packet.Udp.src_port
-      | None -> Alcotest.fail "udp parse")
-    batch
+  let frames, bufs = burst_arrays 16 in
+  let n = Xsk.rx_burst xsk ~max:16 frames bufs in
+  check Alcotest.int "batch" 5 n;
+  for i = 0 to n - 1 do
+    let buf = bufs.(i) in
+    ignore (Ovs_packet.Ethernet.parse buf);
+    ignore (Ovs_packet.Ipv4.parse buf);
+    match Ovs_packet.Udp.parse buf with
+    | Some u -> check Alcotest.int "arrival order" (1000 + i) u.Ovs_packet.Udp.src_port
+    | None -> Alcotest.fail "udp parse"
+  done
 
 (* -- Dp_packet_pool -- *)
 
 let test_metadata_costs () =
   let c = Ovs_sim.Costs.default in
-  let pre = Dp_packet_pool.create ~mode:Dp_packet_pool.Preallocated ~size:16 in
-  let dyn = Dp_packet_pool.create ~mode:Dp_packet_pool.Per_packet_alloc ~size:16 in
+  let pre = Dp_packet_pool.create ~mode:Dp_packet_pool.Preallocated in
+  let dyn = Dp_packet_pool.create ~mode:Dp_packet_pool.Per_packet_alloc in
   Alcotest.(check bool) "O4 saves time" true
     (Dp_packet_pool.metadata_cost pre c < Dp_packet_pool.metadata_cost dyn c);
   Dp_packet_pool.acquire pre;
@@ -220,10 +226,10 @@ let prop_ring_sequence =
       List.iter
         (fun push ->
           if push then begin
-            if Ring.push r { Ring.addr = !next; len = 0 } then incr next
+            if Ring.produce r ~addr:!next ~len:0 then incr next
           end
           else
-            match Ring.pop r with
+            match Ring.consume r with
             | Some d ->
                 if d.Ring.addr <> !expect then ok := false;
                 incr expect
