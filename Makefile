@@ -16,9 +16,15 @@ smoke:
 
 # A one-second pass of the wall-clock benchmark's p2p workload, the one
 # that drives the Scenario rig: exits nonzero if its virtual-ns pin or
-# its packet conservation check fails.
+# its packet conservation check fails. Its closing JSON line (every
+# end-to-end metric, minor_words_per_op and ops_per_s among them) is
+# kept in BENCH_perfbench_smoke.json.
 perfbench-smoke:
-	python3 perfbench/run.py --workload p2p-afxdp-emc --seed 1 --seconds 1 --trace 0
+	python3 perfbench/run.py --workload p2p-afxdp-emc --seed 1 --seconds 1 --trace 0 \
+	  > BENCH_perfbench_smoke.out; status=$$?; \
+	cat BENCH_perfbench_smoke.out; \
+	tail -n 1 BENCH_perfbench_smoke.out > BENCH_perfbench_smoke.json; \
+	rm -f BENCH_perfbench_smoke.out; exit $$status
 
 # The chaos bench: every fault plan against every leg, exact packet
 # conservation and post-recovery throughput enforced (exit nonzero on any
