@@ -684,11 +684,12 @@ let ccache_point ~target_rules : ccache_row =
   (* settle the subtable hit ranking so both legs see the same ordering *)
   replay ();
   let c = Dpif.counters dp in
+  let cyc = c.Ovs_datapath.Dp_core.cycles in
   (* leg A: dpcls only *)
   Dpif.reset_measurement dp;
   replay ();
   let baseline =
-    c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.dpcls_cycles
+    cyc.Ovs_datapath.Dp_core.dpcls_cycles
     /. float_of_int (Int.max 1 c.Ovs_datapath.Dp_core.dpcls_hits)
   in
   let subtables, megaflows, mean_probes = Dpif.dpcls_stats dp in
@@ -700,7 +701,7 @@ let ccache_point ~target_rules : ccache_row =
   let tier_hits = c.Ovs_datapath.Dp_core.ccache_hits
   and cls_hits = c.Ovs_datapath.Dp_core.dpcls_hits in
   let with_ccache =
-    (c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.ccache_cycles +. c.Ovs_datapath.Dp_core.cycles.Ovs_datapath.Dp_core.dpcls_cycles)
+    (cyc.Ovs_datapath.Dp_core.ccache_cycles +. cyc.Ovs_datapath.Dp_core.dpcls_cycles)
     /. float_of_int (Int.max 1 (tier_hits + cls_hits))
   in
   let keys = List.init n_flows (fun j -> Ovs_packet.Flow_key.extract (flow j)) in

@@ -138,11 +138,20 @@ let put t n =
   t.len <- t.len + n
 
 let copy_offload o =
-  { csum_good = o.csum_good; csum_tx_offload = o.csum_tx_offload; tso_segsz = o.tso_segsz }
+  {
+    csum_good = o.csum_good;
+    csum_tx_offload = o.csum_tx_offload;
+    tso_segsz = o.tso_segsz;
+  }
 
 (** An independent copy (data and metadata). *)
 let clone t =
-  { t with data = Bytes.copy t.data; regs = Array.copy t.regs; offload = copy_offload t.offload }
+  {
+    t with
+    data = Bytes.copy t.data;
+    regs = Array.copy t.regs;
+    offload = copy_offload t.offload;
+  }
 
 (** An independent copy of the live bytes and every metadata field, with
     the default headroom. Unlike {!clone} it copies only the live region,
@@ -152,8 +161,13 @@ let clone t =
 let copy t =
   let data = Bytes.make (default_headroom + t.len) '\000' in
   Bytes.blit t.data t.start data default_headroom t.len;
-  { t with data; start = default_headroom; regs = Array.copy t.regs;
-           offload = copy_offload t.offload }
+  {
+    t with
+    data;
+    start = default_headroom;
+    regs = Array.copy t.regs;
+    offload = copy_offload t.offload;
+  }
 
 (** A fresh buffer (default headroom, fresh metadata) holding one copy of
     [t]'s live bytes — what a transmitted packet leaves on the wire. *)

@@ -229,7 +229,8 @@ let rss_hash (k : t) =
 let u8 d s ofs = Bytes.get_uint8 d (s + ofs)
 let u16 d s ofs = Bytes.get_uint16_be d (s + ofs)
 let u32 d s ofs = Int32.to_int (Bytes.get_int32_be d (s + ofs)) land 0xFFFF_FFFF
-let mac d s ofs = (u16 d s ofs lsl 32) lor (u16 d s (ofs + 2) lsl 16) lor u16 d s (ofs + 4)
+let mac d s ofs =
+  (u16 d s ofs lsl 32) lor (u16 d s (ofs + 2) lsl 16) lor u16 d s (ofs + 4)
 
 (* One 64-bit IPv6 address half at [ofs], folded to 62 bits (its value
    shifted right by two, as in {!Field}'s documented lossy fold). *)

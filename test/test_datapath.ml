@@ -288,7 +288,8 @@ let test_afxdp_splits_cost () =
   let r = make_rig () in
   forward_rule r;
   push_and_poll r;
-  Alcotest.(check bool) "softirq side (driver+XDP)" true (r.softirq.Cpu.clk.Cpu.softirq > 0.);
+  Alcotest.(check bool) "softirq side (driver+XDP)" true
+    (r.softirq.Cpu.clk.Cpu.softirq > 0.);
   Alcotest.(check bool) "user side (PMD)" true (r.pmd.Cpu.clk.Cpu.user > 0.);
   Alcotest.(check bool) "system side (tx kick)" true (r.pmd.Cpu.clk.Cpu.system > 0.)
 

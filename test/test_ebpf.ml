@@ -711,7 +711,9 @@ let gen_vm_packet =
   map
     (fun cut ->
       let b = Ovs_packet.Buffer.contents pkt in
-      let n = match cut with None -> Bytes.length b | Some n -> n mod (Bytes.length b + 1) in
+      let n =
+        match cut with None -> Bytes.length b | Some n -> n mod (Bytes.length b + 1)
+      in
       Bytes.to_string (Bytes.sub b 0 n))
     (opt (int_bound 80))
 

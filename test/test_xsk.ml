@@ -138,6 +138,9 @@ let test_umempool_lock_costs () =
 
 (* -- Xsk -- *)
 
+(* the kernel delivering an unstamped 64-byte frame *)
+let rx_wire xsk wire = Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64
+
 (* caller-owned burst arrays for [Xsk.rx_burst] *)
 let burst_arrays n =
   (Array.make n 0, Array.make n (Ovs_packet.Buffer.create ~size:0 ()))
@@ -151,7 +154,7 @@ let test_xsk_rx_path () =
   let xsk = make_xsk () in
   ignore (Xsk.refill xsk 16);
   let wire = Ovs_packet.Buffer.contents (Ovs_packet.Build.udp ~frame_len:64 ()) in
-  Alcotest.(check bool) "delivered" true (Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64);
+  Alcotest.(check bool) "delivered" true (rx_wire xsk wire);
   let frames, bufs = burst_arrays 32 in
   match Xsk.rx_burst xsk ~max:32 frames bufs with
   | 1 ->
@@ -164,7 +167,7 @@ let test_xsk_drop_without_fill () =
   let xsk = make_xsk () in
   (* no refill: the fill ring is empty, the kernel must drop *)
   let wire = Bytes.make 64 'x' in
-  Alcotest.(check bool) "dropped" false (Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64);
+  Alcotest.(check bool) "dropped" false (rx_wire xsk wire);
   check Alcotest.int "drop counted" 1 xsk.Xsk.rx_dropped_no_frame
 
 let test_xsk_tx_kick_and_recycle () =
@@ -172,7 +175,7 @@ let test_xsk_tx_kick_and_recycle () =
   ignore (Xsk.refill xsk 4);
   let before = Umempool.available xsk.Xsk.pool in
   let wire = Bytes.make 64 'y' in
-  Alcotest.(check bool) "rx" true (Xsk.kernel_rx xsk ~birth_ns:(-1.) wire ~src_off:0 ~len:64);
+  Alcotest.(check bool) "rx" true (rx_wire xsk wire);
   let frames, bufs = burst_arrays 1 in
   (match Xsk.rx_burst xsk ~max:1 frames bufs with
   | 1 ->
