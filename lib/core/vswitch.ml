@@ -121,8 +121,9 @@ let connect_controller t (ctrl : Ovs_ofproto.Controller.t) =
         let flow_mods = ref 0 in
         (try
            while Bytes.length replies - !pos >= 8 do
-             let chunk = Bytes.sub replies !pos (Bytes.length replies - !pos) in
-             let msg, xid, consumed = Ovs_ofproto.Ofp_codec.decode chunk in
+             let msg, xid, consumed =
+               Ovs_ofproto.Ofp_codec.decode ~off:!pos replies
+             in
              pos := !pos + consumed;
              match msg with
              | Ovs_ofproto.Ofp_codec.Flow_mod _ ->

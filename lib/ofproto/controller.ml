@@ -68,8 +68,7 @@ let feed t (input : Bytes.t) : Bytes.t =
   let pos = ref 0 in
   (try
      while Bytes.length input - !pos >= 8 do
-       let chunk = Bytes.sub input !pos (Bytes.length input - !pos) in
-       let m, _, consumed = Ofp_codec.decode chunk in
+       let m, _, consumed = Ofp_codec.decode ~off:!pos input in
        pos := !pos + consumed;
        match m with
        | Ofp_codec.Packet_in { in_port; data; _ } ->

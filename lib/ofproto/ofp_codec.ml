@@ -633,16 +633,17 @@ let encode ?(xid = 0) (m : msg) : Bytes.t =
   Bytes.set_uint16_be b len_at (Bytes.length b);
   b
 
-(** Decode one message. Returns the message, its xid, and the number of
-    bytes consumed (messages can be concatenated on a stream). *)
-let decode (b : Bytes.t) : msg * int * int =
-  let r = R.of_bytes b in
+(** Decode the message that starts at byte [off] of [b] (default 0).
+    Returns the message, its xid, and the number of bytes consumed
+    (messages can be concatenated on a stream). *)
+let decode ?(off = 0) (b : Bytes.t) : msg * int * int =
+  let r = R.of_bytes ~pos:off b in
   let v = R.u8 r in
   if v <> version then fail "unsupported OpenFlow version 0x%x" v;
   let typ = R.u8 r in
   let total_len = R.u16 r in
   if total_len < 8 then fail "bad message length %d" total_len;
-  if Bytes.length b < total_len then fail "truncated message";
+  if Bytes.length b - off < total_len then fail "truncated message";
   let xid = R.u32 r in
   let body = R.sub r (total_len - 8) in
   let m =

@@ -32,12 +32,22 @@ type 'a subtable = {
 type 'a t = {
   mutable subtables : 'a subtable list;
   mutable rule_count : int;
+  mutable version : int;
+      (** bumped by every add and every removal that removes a rule, so
+          a reader can tell an untouched table by one comparison *)
 }
 
-let create () = { subtables = []; rule_count = 0 }
+let create () = { subtables = []; rule_count = 0; version = 0 }
 
 let rule_count t = t.rule_count
 let subtable_count t = List.length t.subtables
+let version t = t.version
+
+(** The subtable profile: (mask, max priority) per subtable. Max
+    priorities are exact and empty subtables are dropped, so this is
+    the per-distinct-rule-mask maximum over the table's rules. *)
+let profile t =
+  List.map (fun (st : 'a subtable) -> (st.mask, st.max_priority)) t.subtables
 
 let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
   let mask = match_.Match_.mask in
@@ -69,7 +79,8 @@ let add t ?(cookie = 0) ~priority (match_ : Match_.t) value =
   bucket := { id = !next_rule_id; priority; match_; value; cookie; hits = 0 } :: !bucket;
   st.max_priority <- Int.max st.max_priority priority;
   st.rule_count <- st.rule_count + 1;
-  t.rule_count <- t.rule_count + 1
+  t.rule_count <- t.rule_count + 1;
+  t.version <- t.version + 1
 
 (** Find the highest-priority matching rule. Also returns the list of
     subtable masks probed (for megaflow wildcard accumulation) — a
@@ -103,34 +114,48 @@ let lookup t (key : FK.t) : ('a rule option * FK.t list) =
   (match !best with Some r -> r.hits <- r.hits + 1 | None -> ());
   (!best, !probed)
 
-(** Remove rules matching a predicate; returns how many went away. *)
-let remove_where t pred =
+(** Remove rules matching [pred] from the subtables whose mask
+    satisfies [subtable] (every subtable by default); returns how many
+    went away. Only buckets that lose a rule are rebuilt, and a bucket
+    left empty is dropped from its subtable. *)
+let remove_where ?(subtable = fun _ -> true) t pred =
   let removed = ref 0 in
   List.iter
     (fun (st : 'a subtable) ->
-      let before_st = st.rule_count in
-      Hashtbl.iter
-        (fun _ bucket ->
-          let before = List.length !bucket in
-          bucket := List.filter (fun r -> not (pred r)) !bucket;
-          let gone = before - List.length !bucket in
-          removed := !removed + gone;
-          st.rule_count <- st.rule_count - gone)
-        st.tbl;
-      (* keep max_priority exact: a stale upper bound would make probe
-         pruning — and thus megaflow masks — depend on deleted rules *)
-      if st.rule_count < before_st && st.rule_count > 0 then begin
-        let m = ref min_int in
-        Hashtbl.iter
+      if subtable st.mask then begin
+        let before_st = st.rule_count in
+        Hashtbl.filter_map_inplace
           (fun _ bucket ->
-            List.iter (fun r -> if r.priority > !m then m := r.priority) !bucket)
+            if not (List.exists pred !bucket) then Some bucket
+            else begin
+              let before = List.length !bucket in
+              bucket := List.filter (fun r -> not (pred r)) !bucket;
+              let gone = before - List.length !bucket in
+              removed := !removed + gone;
+              st.rule_count <- st.rule_count - gone;
+              if !bucket = [] then None else Some bucket
+            end)
           st.tbl;
-        st.max_priority <- !m
+        (* keep max_priority exact: a stale upper bound would make probe
+           pruning — and thus megaflow masks — depend on deleted rules *)
+        if st.rule_count < before_st && st.rule_count > 0 then begin
+          let m = ref min_int in
+          Hashtbl.iter
+            (fun _ bucket ->
+              List.iter
+                (fun r -> if r.priority > !m then m := r.priority)
+                !bucket)
+            st.tbl;
+          st.max_priority <- !m
+        end
       end)
     t.subtables;
-  t.subtables <-
-    List.filter (fun (st : 'a subtable) -> st.rule_count > 0) t.subtables;
-  t.rule_count <- t.rule_count - !removed;
+  if !removed > 0 then begin
+    t.subtables <-
+      List.filter (fun (st : 'a subtable) -> st.rule_count > 0) t.subtables;
+    t.rule_count <- t.rule_count - !removed;
+    t.version <- t.version + 1
+  end;
   !removed
 
 (** Iterate every rule (statistics, dumps). *)

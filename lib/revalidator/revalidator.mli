@@ -2,15 +2,16 @@
     proportional to rule churn, not datapath table size.
 
     The datapath records, per installed megaflow, the rule-dependency
-    set collected at translate time ({!record}). On {!sweep} the
-    OpenFlow tables are diffed against the previous pass's snapshot;
-    only megaflows whose dependencies could be affected — a matched
-    rule removed, or an overlapping rule of sufficient priority added
-    to a visited table — are re-translated, and only those whose
-    actions or mask actually changed are evicted (via the caller's
-    callback, where the datapath invalidates its packet caches). The
-    flush-all re-translate in [Dp_core.revalidate] serves as the
-    oracle that the incremental result is identical. *)
+    set collected at translate time ({!record}). On {!sweep} each
+    OpenFlow table whose mutation counter moved since the previous
+    pass is diffed against that pass's snapshot of it; only megaflows
+    whose dependencies could be affected — a matched rule removed, or
+    an overlapping rule of sufficient priority added to a visited
+    table — are re-translated, and only those whose actions or mask
+    actually changed are evicted (via the caller's callback, where the
+    datapath invalidates its packet caches). The flush-all
+    re-translate in [Dp_core.revalidate] serves as the oracle that the
+    incremental result is identical. *)
 
 module FK = Ovs_packet.Flow_key
 module Pipeline = Ovs_ofproto.Pipeline
@@ -45,7 +46,8 @@ type 'a t
 
 val create : pipeline:Pipeline.t -> unit -> 'a t
 (** Snapshots the pipeline's tables as the baseline for the first
-    {!sweep}. *)
+    {!sweep}. The tables must change only through {!Ovs_ofproto.Table}'s
+    own functions, which keep its version counter. *)
 
 val record : 'a t -> mask:FK.t -> key:FK.t -> actions:'a -> dep list -> unit
 (** Track (or refresh) a megaflow: [key] is a full packet key that
@@ -70,10 +72,13 @@ val sweep :
   translate:(FK.t -> 'a * FK.t * dep list) ->
   evict:(mask:FK.t -> key:FK.t -> unit) ->
   sweep_stats
-(** One revalidation pass: diff tables against the previous snapshot,
-    mark dirty megaflows, re-translate exactly those, and [evict] the
-    ones whose actions or megaflow mask changed. Work is proportional
-    to churn + dirty set, never to {!flows}. *)
+(** One revalidation pass: diff each changed table against its
+    previous snapshot, mark dirty megaflows, re-translate exactly
+    those, and [evict] the ones whose actions or megaflow mask
+    changed. An unchanged table costs one comparison. Work grows with
+    the rules of the changed tables, plus one index probe per distinct
+    added rule mask for each megaflow that visited a table that gained
+    rules, plus the dirty set. *)
 
 val render : 'a t -> (string -> unit) -> unit
 (** Feed the cumulative counters, one line at a time, through a sink

@@ -130,6 +130,27 @@ let prop_table_vs_linear_oracle =
       done;
       !ok)
 
+(* Fresh-key churn must not grow a table whose rule count stays flat: a
+   bucket emptied by a delete has to leave its subtable's hash table.
+   The permanent rule keeps the subtable itself alive. *)
+let test_table_churn_memory_bounded () =
+  let p = Pipeline.create ~n_tables:1 () in
+  let m_port v = Match_.with_field (Match_.catchall ()) FK.Field.Tp_dst v in
+  Pipeline.add_flow p ~priority:1 (m_port 0) [ Action.Drop ];
+  let cycle i =
+    Pipeline.add_flow p ~priority:2 (m_port i) [ Action.Output 1 ];
+    check Alcotest.int "one rule deleted" 1 (Pipeline.del_flows p (m_port i))
+  in
+  cycle 1;
+  let first = Obj.reachable_words (Obj.repr p.Pipeline.tables.(0)) in
+  for i = 2 to 1000 do
+    cycle i
+  done;
+  let last = Obj.reachable_words (Obj.repr p.Pipeline.tables.(0)) in
+  check Alcotest.int "rule count flat" 1 (Pipeline.flow_count p);
+  if float_of_int last > 1.1 *. float_of_int first then
+    Alcotest.failf "table grew from %d to %d words over 1000 cycles" first last
+
 (* -- Parser -- *)
 
 let test_parser_basic_flow () =
@@ -355,6 +376,178 @@ let test_pipeline_flow_count_and_tables () =
   check Alcotest.int "flows" 2 (Pipeline.flow_count p);
   check Alcotest.int "tables used" 2 (Pipeline.tables_used p)
 
+(* -- Non-strict delete: pruned = full scan -- *)
+
+(* The reference: the per-rule coverage test, applied to every rule of
+   the table. A rule is covered when, on every field the spec
+   constrains, the rule constrains at least as much and agrees. *)
+let rule_covered_by (spec : Match_.t) (rule : Match_.t) =
+  Array.for_all
+    (fun f ->
+      let sm = FK.get spec.Match_.mask f in
+      sm = 0
+      || FK.get rule.Match_.mask f land sm = sm
+         && FK.get rule.Match_.key f land sm = FK.get spec.Match_.key f land sm)
+    FK.Field.all
+
+(* A small universe so specs cover rules often: four fields, Nw_src under
+   a /8, /16, /24 or /32 prefix, values from a handful. *)
+let churn_fields = [| FK.Field.In_port; FK.Field.Nw_proto; FK.Field.Tp_dst |]
+let prefixes = [| 8; 16; 24; 32 |]
+
+let random_match prng =
+  let pick n = Ovs_sim.Prng.int prng n in
+  let m = Match_.catchall () in
+  Array.iter
+    (fun f -> if pick 2 = 0 then ignore (Match_.with_field m f (pick 3)))
+    churn_fields;
+  if pick 2 = 0 then
+    ignore
+      (Match_.with_prefix m FK.Field.Nw_src
+         (0x0A000000 lor (pick 2 lsl 16) lor (pick 2 lsl 8) lor pick 2)
+         prefixes.(pick 4));
+  m
+
+(* A spec derived from a rule's match: the same mask, a wider one (fields
+   dropped, a shorter prefix) or a narrower one (fields added, a longer
+   prefix), keeping the rule's values where it has them, and sometimes a
+   fresh random match. *)
+let random_spec prng (m : Match_.t) =
+  let pick n = Ovs_sim.Prng.int prng n in
+  if pick 5 = 0 then random_match prng
+  else begin
+    let s =
+      { Match_.key = FK.copy m.Match_.key; mask = FK.copy m.Match_.mask }
+    in
+    (match pick 3 with
+    | 0 -> ()
+    | 1 ->
+        Array.iter
+          (fun f ->
+            if pick 2 = 0 then begin
+              FK.set s.Match_.mask f 0;
+              FK.set s.Match_.key f 0
+            end)
+          churn_fields;
+        let sm = FK.get s.Match_.mask FK.Field.Nw_src in
+        if sm <> 0 then
+          ignore
+            (Match_.with_masked s FK.Field.Nw_src
+               (FK.get s.Match_.key FK.Field.Nw_src)
+               (sm lsl 8 land 0xFFFFFFFF))
+    | _ ->
+        Array.iter
+          (fun f ->
+            if FK.get s.Match_.mask f = 0 && pick 2 = 0 then
+              ignore (Match_.with_field s f (pick 3)))
+          churn_fields;
+        let sm = FK.get s.Match_.mask FK.Field.Nw_src in
+        ignore
+          (Match_.with_masked s FK.Field.Nw_src
+             (FK.get s.Match_.key FK.Field.Nw_src lor pick 2)
+             ((sm lsr 8) lor 0xFF000000)));
+    s
+  end
+
+(* Survivors and profile a full scan predicts for one table. *)
+let expected_after tbl spec =
+  let rules = ref [] in
+  Table.iter tbl (fun r -> rules := r :: !rules);
+  let kept =
+    List.filter (fun r -> not (rule_covered_by spec r.Table.match_)) !rules
+  in
+  let profile =
+    List.fold_left
+      (fun acc r ->
+        let mask = r.Table.match_.Match_.mask in
+        match List.assoc_opt mask acc with
+        | Some p when p >= r.Table.priority -> acc
+        | _ -> (mask, r.Table.priority) :: List.remove_assoc mask acc)
+      [] kept
+  in
+  ( List.sort compare (List.map (fun r -> r.Table.id) kept),
+    List.sort compare profile,
+    List.length !rules - List.length kept )
+
+let ids_of tbl =
+  let ids = ref [] in
+  Table.iter tbl (fun r -> ids := r.Table.id :: !ids);
+  List.sort compare !ids
+
+let prop_pruned_delete_is_full_scan =
+  QCheck.Test.make ~count:300 ~name:"pruned non-strict delete = full scan"
+    QCheck.small_int
+    (fun seed ->
+      let prng = Ovs_sim.Prng.of_int (seed + 29) in
+      let pick n = Ovs_sim.Prng.int prng n in
+      let p = Pipeline.create ~n_tables:3 () in
+      let installed = ref [] in
+      for _ = 1 to 10 + pick 40 do
+        let m = random_match prng in
+        Pipeline.add_flow p ~table:(pick 3) ~priority:(1 + pick 30) m
+          [ Action.Drop ];
+        installed := m :: !installed
+      done;
+      let installed = Array.of_list !installed in
+      let expect what want got =
+        if want <> got then QCheck.Test.fail_reportf "%s differs" what
+      in
+      for _ = 1 to 8 do
+        let spec = random_spec prng installed.(pick (Array.length installed)) in
+        match pick 3 with
+        | 0 ->
+            (* one table *)
+            let idx = pick 3 in
+            let tbl = p.Pipeline.tables.(idx) in
+            let ids, profile, n = expected_after tbl spec in
+            let removed = Pipeline.del_flows ~table:idx p spec in
+            expect "removed count" n removed;
+            expect "surviving ids" ids (ids_of tbl);
+            expect "profile" profile
+              (List.sort compare (Table.profile tbl));
+            expect "subtable count" (List.length profile)
+              (Table.subtable_count tbl)
+        | 1 ->
+            (* OFPTT_ALL *)
+            let want =
+              Array.map (fun tbl -> expected_after tbl spec) p.Pipeline.tables
+            in
+            let removed = Pipeline.del_flows p spec in
+            expect "removed count"
+              (Array.fold_left (fun a (_, _, n) -> a + n) 0 want)
+              removed;
+            Array.iteri
+              (fun i (ids, profile, _) ->
+                let tbl = p.Pipeline.tables.(i) in
+                expect "surviving ids" ids (ids_of tbl);
+                expect "profile" profile
+                  (List.sort compare (Table.profile tbl));
+                expect "subtable count" (List.length profile)
+                  (Table.subtable_count tbl))
+              want
+        | _ ->
+            (* OFPFC_MODIFY over the wire: the covered rules go, one rule
+               with the spec's match comes in *)
+            let idx = pick 3 and priority = 1 + pick 30 in
+            let tbl = p.Pipeline.tables.(idx) in
+            let ids, _, _ = expected_after tbl spec in
+            let conn = Ofconn.create ~pipeline:p () in
+            ignore
+              (Ofconn.feed conn
+                 (Ofp_codec.encode
+                    (Ofp_codec.Flow_mod
+                       { command = `Modify; table_id = idx; priority;
+                         cookie = 0; match_ = spec;
+                         actions = [ Action.Output 1 ] })));
+            expect "errors" 0 conn.Ofconn.errors;
+            let now = ids_of tbl in
+            let fresh = List.filter (fun id -> not (List.mem id ids)) now in
+            expect "surviving ids" ids
+              (List.filter (fun id -> List.mem id ids) now);
+            expect "one new rule" 1 (List.length fresh)
+      done;
+      true)
+
 (* -- OpenFlow wire codec -- *)
 
 let roundtrip ?(xid = 42) m =
@@ -523,6 +716,46 @@ let test_ofconn_session () =
   | Ofp_codec.Error _, _, _ -> ()
   | _ -> Alcotest.fail "error reply expected"
 
+(* One buffer of N FLOW_MODs followed by a malformed message: the session
+   applies exactly the N good ones and answers the tail with exactly one
+   OFPT_ERROR. Tails: a truncated FLOW_MOD (its length runs past the end
+   of the buffer), a bad version, and a bare header of length < 8. *)
+let test_ofconn_stream_with_bad_tail () =
+  let adds n =
+    List.init n (fun i ->
+        Ofp_codec.encode ~xid:(i + 1)
+          (Ofp_codec.Flow_mod
+             { command = `Add; table_id = 0; priority = 10 + i; cookie = 0;
+               match_ =
+                 Match_.with_field (Match_.catchall ()) FK.Field.Tp_dst i;
+               actions = [ Action.Output 2 ] }))
+  in
+  let fm = List.hd (adds 1) in
+  let bad_version = Bytes.copy fm in
+  Bytes.set_uint8 bad_version 0 0x01;
+  let short_len = Bytes.sub fm 0 8 in
+  Bytes.set_uint16_be short_len 2 4;
+  List.iter
+    (fun (what, tail) ->
+      let n = 7 in
+      let p = Pipeline.create ~n_tables:1 () in
+      let conn = Ofconn.create ~pipeline:p () in
+      let reply =
+        Ofconn.feed conn (Bytes.concat Bytes.empty (adds n @ [ tail ]))
+      in
+      check Alcotest.int (what ^ ": rules applied") n (Pipeline.flow_count p);
+      check Alcotest.int (what ^ ": flow_mods") n conn.Ofconn.flow_mods;
+      check Alcotest.int (what ^ ": errors") 1 conn.Ofconn.errors;
+      match Ofp_codec.decode reply with
+      | Ofp_codec.Error _, _, used ->
+          check Alcotest.int (what ^ ": one reply") (Bytes.length reply) used
+      | _ -> Alcotest.fail (what ^ ": error reply expected"))
+    [
+      ("truncated", Bytes.sub fm 0 (Bytes.length fm - 3));
+      ("bad version", bad_version);
+      ("short length", short_len);
+    ]
+
 let () =
   Alcotest.run "ovs_ofproto"
     [
@@ -540,6 +773,8 @@ let () =
             test_table_priority_across_subtables;
           Alcotest.test_case "remove where" `Quick test_table_remove_where;
           Alcotest.test_case "miss" `Quick test_table_miss;
+          Alcotest.test_case "fresh-key churn keeps memory flat" `Quick
+            test_table_churn_memory_bounded;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_table_vs_linear_oracle ] );
       ( "parser",
@@ -572,7 +807,9 @@ let () =
           Alcotest.test_case "tnl_pop terminal" `Quick test_pipeline_tunnel_pop_terminal;
           Alcotest.test_case "flow count and tables" `Quick
             test_pipeline_flow_count_and_tables;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_pruned_delete_is_full_scan ] );
       ( "wire",
         [
           Alcotest.test_case "hello/echo" `Quick test_ofp_hello_echo;
@@ -583,6 +820,8 @@ let () =
           Alcotest.test_case "packet in/out" `Quick test_ofp_packet_in_out;
           Alcotest.test_case "rejects garbage" `Quick test_ofp_rejects_garbage;
           Alcotest.test_case "switch session" `Quick test_ofconn_session;
+          Alcotest.test_case "stream with a malformed tail" `Quick
+            test_ofconn_stream_with_bad_tail;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_ofp_match_roundtrip ] );
     ]
