@@ -313,20 +313,22 @@ let probe_for g mf_mask =
   find g.g_probes
 
 (* Could one of these adds change entry [e]'s translation? Only if it
-   overlaps the megaflow's cube and reaches [steal]. *)
+   reaches [steal] and overlaps the megaflow's cube. *)
+let rec any_steals e steal = function
+  | [] -> false
+  | (r : rule) :: rest ->
+      (r.Table.priority >= steal
+      && cube_overlap r.Table.match_ ~mask:e.e_mask ~key:e.e_key)
+      || any_steals e steal rest
+
 let rec adds_affect e steal = function
   | [] -> false
-  | g :: groups -> (
+  | g :: groups ->
       let p = probe_for g e.e_mask in
-      match Hashtbl.find_opt p.p_adds (FK.hash_masked e.e_key p.p_common) with
-      | Some rules
-        when List.exists
-               (fun (r : rule) ->
-                 r.Table.priority >= steal
-                 && cube_overlap r.Table.match_ ~mask:e.e_mask ~key:e.e_key)
-               rules ->
-          true
-      | _ -> adds_affect e steal groups)
+      (match Hashtbl.find p.p_adds (FK.hash_masked e.e_key p.p_common) with
+      | rules -> any_steals e steal rules
+      | exception Not_found -> false)
+      || adds_affect e steal groups
 
 (* The max priorities of subtables whose existence or max priority
    changed between two profiles. Any such change can grow or shrink
