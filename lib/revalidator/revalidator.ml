@@ -380,9 +380,9 @@ let diff_rules (o : rule array) (n : rule array) =
     when the result no longer matches what was recorded, [evict] is
     called (the datapath removes the megaflow and invalidates caches
     there) and the entry is dropped. Work grows with the rules of the
-    changed tables, plus one probe per visitor of a table that gained
-    rules, plus the dirty set — never with the tracked megaflows as a
-    whole. *)
+    changed tables, plus one probe per added rule mask for each visitor
+    of a table that gained rules, plus the dirty set — never with the
+    tracked megaflows as a whole. *)
 let sweep t ~translate ~evict : sweep_stats =
   let n_added = ref 0 and n_removed = ref 0 in
   let dirty = ref [] in
