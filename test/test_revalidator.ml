@@ -131,7 +131,7 @@ let test_sweep_ignores_untouched_tables () =
       "sweep allocated %.0f words beside 1k untouched rules, %.0f beside 10k"
       small large
 
-(* Megaflows under three masks, adds under three rule masks (so several
+(* Megaflows under three masks, adds under four rule masks (so several
    common masks get an index), some megaflows matched at a priority the
    adds cannot reach. Exactly the visitors that some add overlaps at a
    stealing priority are re-translated; the rest never reach [translate]. *)
