@@ -30,6 +30,17 @@ type tuple = {
 
 let tuple_reverse t = { t with src = t.dst; dst = t.src; sport = t.dport; dport = t.sport }
 
+(* Field-by-field equality: polymorphic [=] on a record is a
+   [caml_compare] call, and these run several times per ct action. *)
+let tuple_equal a b =
+  a.src = b.src && a.dst = b.dst && a.proto = b.proto && a.sport = b.sport
+  && a.dport = b.dport && a.zone = b.zone
+
+(* [tuple_equal a (tuple_reverse b)], without building the reverse *)
+let tuple_is_reverse a b =
+  a.src = b.dst && a.dst = b.src && a.proto = b.proto && a.sport = b.dport
+  && a.dport = b.sport && a.zone = b.zone
+
 let tuple_of_key ~zone (k : FK.t) =
   {
     src = FK.get k FK.Field.Nw_src;
@@ -137,13 +148,13 @@ let shard_of t tup =
 
 let bucket_index sh tup = Hashtbl.hash tup land max_int mod Array.length sh.buckets
 
+let rec find_in tup = function
+  | [] -> None
+  | s :: rest -> if tuple_equal s.s_tup tup then Some s.s_conn else find_in tup rest
+
 let find_tuple t tup : conn option =
   let sh = shard_of t tup in
-  let rec scan = function
-    | [] -> None
-    | s :: rest -> if s.s_tup = tup then Some s.s_conn else scan rest
-  in
-  scan sh.buckets.(bucket_index sh tup)
+  find_in tup sh.buckets.(bucket_index sh tup)
 
 (* Grow a shard at 4 slots/bucket mean occupancy. The cursor resets:
    rehashing reshuffles which buckets the un-swept slots live in, and
@@ -165,9 +176,9 @@ let maybe_grow sh =
 let insert_dir t tup conn =
   let sh = shard_of t tup in
   let i = bucket_index sh tup in
-  let had = List.exists (fun s -> s.s_tup = tup) sh.buckets.(i) in
+  let had = List.exists (fun s -> tuple_equal s.s_tup tup) sh.buckets.(i) in
   let bucket =
-    if had then List.filter (fun s -> s.s_tup <> tup) sh.buckets.(i)
+    if had then List.filter (fun s -> not (tuple_equal s.s_tup tup)) sh.buckets.(i)
     else sh.buckets.(i)
   in
   sh.buckets.(i) <- { s_tup = tup; s_conn = conn } :: bucket;
@@ -179,8 +190,8 @@ let insert_dir t tup conn =
 let remove_dir t tup =
   let sh = shard_of t tup in
   let i = bucket_index sh tup in
-  if List.exists (fun s -> s.s_tup = tup) sh.buckets.(i) then begin
-    sh.buckets.(i) <- List.filter (fun s -> s.s_tup <> tup) sh.buckets.(i);
+  if List.exists (fun s -> tuple_equal s.s_tup tup) sh.buckets.(i) then begin
+    sh.buckets.(i) <- List.filter (fun s -> not (tuple_equal s.s_tup tup)) sh.buckets.(i);
     sh.entries <- sh.entries - 1
   end
 
@@ -198,7 +209,7 @@ let iter_conns t f =
   Array.iter
     (fun sh ->
       Array.iter
-        (List.iter (fun s -> if s.s_tup = s.s_conn.orig then f s.s_conn))
+        (List.iter (fun s -> if tuple_equal s.s_tup s.s_conn.orig then f s.s_conn))
         sh.buckets)
     t.shards
 
@@ -309,7 +320,9 @@ let track ?buf t ~now ~zone (k : FK.t) : verdict =
             conn = None }
     end
   | Some conn ->
-      let is_reply = tup = tuple_reverse conn.orig && tup <> conn.orig in
+      let is_reply =
+        tuple_is_reverse tup conn.orig && not (tuple_equal tup conn.orig)
+      in
       let expired = now -. conn.last_seen > timeout_of conn.state in
       if expired then begin
         remove_conn t conn;
@@ -499,7 +512,7 @@ let sweep_bounded t ~now ~budget =
       List.iter
         (fun s ->
           if
-            s.s_tup = s.s_conn.orig
+            tuple_equal s.s_tup s.s_conn.orig
             && now -. s.s_conn.last_seen > timeout_of s.s_conn.state
           then begin
             remove_conn t s.s_conn;

@@ -251,11 +251,20 @@ let tracer t = t.tracer
 let trace_stage t s =
   match t.tracer with Some r -> Trace.set_stage r s | None -> ()
 
-(* the detail thunk is only forced during an active walk *)
-let trace_note t s (detail : unit -> string) =
+(* Enter stage [s] and return the recorder when a packet walk is active;
+   the caller then builds the walk note's detail. An untraced or
+   walk-less pass builds no string and no closure. *)
+let walker t s =
   match t.tracer with
-  | Some r -> if Trace.walking r then Trace.note r s (detail ()) else Trace.set_stage r s
-  | None -> ()
+  | Some r as w when Trace.walking r -> w
+  | Some r ->
+      Trace.set_stage r s;
+      None
+  | None -> None
+
+(* a walk note whose detail costs nothing to build (a constant) *)
+let trace_note t s detail =
+  match walker t s with Some r -> Trace.note r s detail | None -> ()
 
 (** The names of the fields a megaflow mask constrains — how dump-flows
     and trace renderings describe a megaflow's shape. *)
@@ -349,6 +358,54 @@ let extract_cost t =
       c.Ovs_sim.Costs.xdp_prog_overhead
       +. (60. *. c.Ovs_sim.Costs.ebpf_insn)
 
+(* Fill the microflow tiers above dpcls with a megaflow's actions. *)
+let fill_upper_tiers t key ~mask actions =
+  (match t.emc with
+  | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
+  | Some _ | None -> ());
+  match t.smc with
+  | Some smc when t.smc_enabled -> Ovs_flow.Smc.insert smc key ~mask actions
+  | Some _ | None -> ()
+
+(* the virtual cost of probing one dpcls subtable *)
+let dpcls_per_probe t =
+  let c = t.costs in
+  (match t.flavor with
+  | Flavor_userspace -> c.Ovs_sim.Costs.dpcls_subtable
+  | Flavor_kernel -> c.Ovs_sim.Costs.kmod_flow_lookup
+  | Flavor_kernel_ebpf ->
+      (* hash-map lookup from interpreted code, one per "subtable" *)
+      c.Ovs_sim.Costs.ebpf_map_lookup +. (12. *. c.Ovs_sim.Costs.ebpf_insn))
+  +. cold_penalty t
+
+(* The megaflow tier, for the fast path and a deferred upcall's re-probe
+   alike: probe dpcls and, on a hit, charge the probes, credit their cost
+   to the megaflow, count the hit and fill the tiers above. A miss is
+   charged by the caller. *)
+let dpcls_lookup t (charge : charge_fn) (key : FK.t) =
+  let per_probe = dpcls_per_probe t in
+  trace_stage t Trace.St_dpcls;
+  let hit = Ovs_flow.Dpcls.lookup t.dpcls key in
+  (match hit with
+  | Some e ->
+      let probes = Ovs_flow.Dpcls.last_probes t.dpcls in
+      let mf_mask = Ovs_flow.Dpcls.last_mask t.dpcls in
+      let cost = float_of_int probes *. per_probe in
+      charge (fastpath_category t) cost;
+      e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
+      t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
+      t.counters.cycles.dpcls_cycles <- t.counters.cycles.dpcls_cycles +. cost;
+      Coverage.incr cov_masked_hit;
+      (match walker t Trace.St_dpcls with
+      | Some r ->
+          Trace.note r Trace.St_dpcls
+            (Printf.sprintf "hit: megaflow on %s (%d subtable probe%s)"
+               (masked_fields mf_mask) probes (if probes = 1 then "" else "s"))
+      | None -> ());
+      fill_upper_tiers t key ~mask:mf_mask e.Ovs_flow.Dpcls.value
+  | None -> ());
+  hit
+
 (** Look up the cached actions for [key] in the fast-path tiers only
     (EMC → SMC → dpcls), charging the flavor's costs. [None] is a full
     miss: every tier has been probed and charged, and the packet needs
@@ -368,7 +425,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
             t.counters.emc_hits <- t.counters.emc_hits + 1;
             t.counters.cycles.emc_cycles <- t.counters.cycles.emc_cycles +. cost;
             Coverage.incr cov_emc_hit;
-            trace_note t Trace.St_emc (fun () -> "hit: exact-match cache");
+            trace_note t Trace.St_emc "hit: exact-match cache";
             Some actions
         | None ->
             charge cat c.Ovs_sim.Costs.emc_miss_probe;
@@ -394,7 +451,7 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
                 t.counters.smc_hits <- t.counters.smc_hits + 1;
                 t.counters.cycles.smc_cycles <- t.counters.cycles.smc_cycles +. cost;
                 Coverage.incr cov_smc_hit;
-                trace_note t Trace.St_smc (fun () -> "hit: signature-match cache");
+                trace_note t Trace.St_smc "hit: signature-match cache";
                 Some actions
             | None ->
                 charge cat c.Ovs_sim.Costs.emc_miss_probe;
@@ -425,19 +482,16 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
                 t.counters.ccache_hits <- t.counters.ccache_hits + 1;
                 t.counters.cycles.ccache_cycles <- t.counters.cycles.ccache_cycles +. cost;
                 Coverage.incr cov_ccache_hit;
-                trace_note t Trace.St_ccache (fun () ->
-                    Printf.sprintf
-                      "hit: computational cache on %s (%d model evals, %d search steps, %d validation%s)"
-                      (masked_fields mf_mask) models steps valids
-                      (if valids = 1 then "" else "s"));
+                (match walker t Trace.St_ccache with
+                | Some r ->
+                    Trace.note r Trace.St_ccache
+                      (Printf.sprintf
+                         "hit: computational cache on %s (%d model evals, %d search steps, %d validation%s)"
+                         (masked_fields mf_mask) models steps valids
+                         (if valids = 1 then "" else "s"))
+                | None -> ());
                 let actions = e.Ovs_flow.Dpcls.value in
-                (match t.emc with
-                | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-                | Some _ | None -> ());
-                (match t.smc with
-                | Some smc when t.smc_enabled ->
-                    Ovs_flow.Smc.insert smc key ~mask:mf_mask actions
-                | Some _ | None -> ());
+                fill_upper_tiers t key ~mask:mf_mask actions;
                 Some actions
             | None ->
                 (* indexed nowhere (or validation failed): the model work
@@ -451,39 +505,11 @@ let lookup_cached t (charge : charge_fn) (key : FK.t) : Action.odp list option =
   match (emc_result, smc_result, ccache_result) with
   | Some actions, _, _ | _, Some actions, _ | _, _, Some actions -> Some actions
   | None, None, None -> begin
-      let per_probe =
-        (match t.flavor with
-        | Flavor_userspace -> c.Ovs_sim.Costs.dpcls_subtable
-        | Flavor_kernel -> c.Ovs_sim.Costs.kmod_flow_lookup
-        | Flavor_kernel_ebpf ->
-            (* hash-map lookup from interpreted code, one per "subtable" *)
-            c.Ovs_sim.Costs.ebpf_map_lookup +. (12. *. c.Ovs_sim.Costs.ebpf_insn))
-        +. cold_penalty t
-      in
-      trace_stage t Trace.St_dpcls;
-      match Ovs_flow.Dpcls.lookup_entry t.dpcls key with
-      | Some (e, probes, mf_mask) ->
-          let cost = float_of_int probes *. per_probe in
-          charge cat cost;
-          e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
-          t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.cycles.dpcls_cycles <- t.counters.cycles.dpcls_cycles +. cost;
-          Coverage.incr cov_masked_hit;
-          trace_note t Trace.St_dpcls (fun () ->
-              Printf.sprintf "hit: megaflow on %s (%d subtable probe%s)"
-                (masked_fields mf_mask) probes (if probes = 1 then "" else "s"));
-          let actions = e.Ovs_flow.Dpcls.value in
-          (match t.emc with
-          | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-          | Some _ | None -> ());
-          (match t.smc with
-          | Some smc when t.smc_enabled ->
-              Ovs_flow.Smc.insert smc key ~mask:mf_mask actions
-          | Some _ | None -> ());
-          Some actions
+      match dpcls_lookup t charge key with
+      | Some e -> Some e.Ovs_flow.Dpcls.value
       | None ->
           let probes = Int.max 1 (Ovs_flow.Dpcls.subtable_count t.dpcls) in
-          charge cat (float_of_int probes *. per_probe);
+          charge cat (float_of_int probes *. dpcls_per_probe t);
           None
     end
 
@@ -535,11 +561,11 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
     | Flavor_userspace -> c.Ovs_sim.Costs.upcall
     | Flavor_kernel | Flavor_kernel_ebpf -> c.Ovs_sim.Costs.netlink_upcall
   in
-  trace_note t Trace.St_upcall (fun () ->
-      match t.flavor with
-      | Flavor_userspace -> "miss in every fast-path tier: translating via ofproto"
-      | Flavor_kernel | Flavor_kernel_ebpf ->
-          "megaflow miss: netlink upcall to ovs-vswitchd");
+  trace_note t Trace.St_upcall
+    (match t.flavor with
+    | Flavor_userspace -> "miss in every fast-path tier: translating via ofproto"
+    | Flavor_kernel | Flavor_kernel_ebpf ->
+        "megaflow miss: netlink upcall to ovs-vswitchd");
   let log =
     match t.tracer with
     | Some r when Trace.walking r ->
@@ -595,11 +621,14 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
     +. (float_of_int result.Ovs_ofproto.Pipeline.tables_visited
        *. c.Ovs_sim.Costs.ofproto_table_lookup));
   let actions = result.Ovs_ofproto.Pipeline.odp_actions in
-  trace_note t Trace.St_install (fun () ->
-      Fmt.str "install megaflow on %s, actions: %a"
-        (masked_fields result.Ovs_ofproto.Pipeline.megaflow_mask)
-        Fmt.(list ~sep:(any ",") Action.pp_odp)
-        actions);
+  (match walker t Trace.St_install with
+  | Some r ->
+      Trace.note r Trace.St_install
+        (Fmt.str "install megaflow on %s, actions: %a"
+           (masked_fields result.Ovs_ofproto.Pipeline.megaflow_mask)
+           Fmt.(list ~sep:(any ",") Action.pp_odp)
+           actions)
+  | None -> ());
   Ovs_flow.Dpcls.insert t.dpcls
     ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask ~key actions;
   (match (t.reval, deps) with
@@ -618,67 +647,63 @@ let slowpath t (charge : charge_fn) (key : FK.t) : Action.odp list =
       | Some _ | None -> ()
     end
   | Some _ | None -> ());
-  (match t.emc with
-  | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-  | Some _ | None -> ());
-  (match t.smc with
-  | Some smc when t.smc_enabled ->
-      Ovs_flow.Smc.insert smc key
-        ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask actions
-  | Some _ | None -> ());
+  fill_upper_tiers t key ~mask:result.Ovs_ofproto.Pipeline.megaflow_mask actions;
   actions
+
+(* the virtual cost of executing one datapath action *)
+let action_cost t =
+  let c = t.costs in
+  match t.flavor with
+  | Flavor_userspace -> c.Ovs_sim.Costs.action_exec
+  | Flavor_kernel -> c.Ovs_sim.Costs.kmod_action
+  | Flavor_kernel_ebpf -> c.Ovs_sim.Costs.action_exec +. (8. *. c.Ovs_sim.Costs.ebpf_insn)
+
+(* the stage an action's work is attributed to *)
+let action_stage = function
+  | Action.Odp_tnl_push _ -> Trace.St_encap
+  | Action.Odp_tnl_pop _ -> Trace.St_decap
+  | Action.Odp_ct _ -> Trace.St_conntrack
+  | Action.Odp_output _ -> Trace.St_tx
+  | _ -> Trace.St_action
 
 (** Execute datapath actions over the packet, recirculating as needed.
     This is odp-execute: real byte rewrites, real tunnel push/pop, real
-    conntrack. *)
+    conntrack. Untraced, it allocates no closure. *)
 let rec execute t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t)
     (actions : Action.odp list) =
-  let c = t.costs in
-  let cat = fastpath_category t in
-  let action_cost =
-    match t.flavor with
-    | Flavor_userspace -> c.Ovs_sim.Costs.action_exec
-    | Flavor_kernel -> c.Ovs_sim.Costs.kmod_action
-    | Flavor_kernel_ebpf -> c.Ovs_sim.Costs.action_exec +. (8. *. c.Ovs_sim.Costs.ebpf_insn)
-  in
-  let refresh_csums need =
-    if need && not t.csum_offload then
-      charge cat (Ovs_sim.Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt))
-  in
-  let rec go = function
-    | [] -> ()
-    | act :: rest ->
-      let stage =
-        match act with
-        | Action.Odp_tnl_push _ -> Trace.St_encap
-        | Action.Odp_tnl_pop _ -> Trace.St_decap
-        | Action.Odp_ct _ -> Trace.St_conntrack
-        | Action.Odp_output _ -> Trace.St_tx
-        | _ -> Trace.St_action
-      in
-      trace_note t stage (fun () -> Fmt.str "%a" Action.pp_odp act);
-      charge cat action_cost;
+  exec_actions t charge pkt key (action_cost t) actions
+
+and exec_actions t charge pkt key cost = function
+  | [] -> ()
+  | act :: rest -> (
+      let c = t.costs in
+      let cat = fastpath_category t in
+      (match walker t (action_stage act) with
+      | Some r -> Trace.note r (action_stage act) (Fmt.str "%a" Action.pp_odp act)
+      | None -> ());
+      charge cat cost;
       match act with
       | Action.Odp_output port ->
           t.counters.sent <- t.counters.sent + 1;
           t.output charge port pkt;
-          go rest
+          exec_actions t charge pkt key cost rest
       | Action.Odp_drop ->
           t.counters.dropped <- t.counters.dropped + 1;
           Coverage.incr cov_drop;
-          go rest
+          exec_actions t charge pkt key cost rest
       | Action.Odp_set (f, v) ->
-          let need = Set_field.apply pkt key f v in
-          refresh_csums need;
-          go rest
+          (* refresh the checksums the rewrite invalidated *)
+          if Set_field.apply pkt key f v && not t.csum_offload then
+            charge cat (Ovs_sim.Costs.csum c ~bytes:(Ovs_packet.Buffer.length pkt));
+          exec_actions t charge pkt key cost rest
       | Action.Odp_push_vlan tci ->
           Ovs_packet.Ethernet.push_vlan pkt ~tci;
           FK.set key FK.Field.Vlan_tci (tci lor 0x1000);
-          go rest
+          exec_actions t charge pkt key cost rest
       | Action.Odp_pop_vlan ->
           Ovs_packet.Ethernet.pop_vlan pkt;
           FK.set key FK.Field.Vlan_tci 0;
-          go rest
+          exec_actions t charge pkt key cost rest
       | Action.Odp_tnl_push ts ->
           pkt.Ovs_packet.Buffer.rss_hash <- FK.rss_hash key;
           Ovs_packet.Tunnel.encap pkt ts.Action.tnl_kind
@@ -691,7 +716,7 @@ let rec execute t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t)
           t.counters.sent <- t.counters.sent + 1;
           trace_stage t Trace.St_tx;
           t.output charge ts.Action.out_port pkt;
-          go rest
+          exec_actions t charge pkt key cost rest
       | Action.Odp_tnl_pop resume ->
           (match Ovs_packet.Tunnel.decap pkt with
           | Some _ ->
@@ -700,8 +725,8 @@ let rec execute t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t)
           | None ->
               t.counters.dropped <- t.counters.dropped + 1;
               Coverage.incr cov_decap_drop);
-          go rest
-      | Action.Odp_ct { zone; commit; nat; resume_table } -> begin
+          exec_actions t charge pkt key cost rest
+      | Action.Odp_ct { zone; commit; nat; resume_table } ->
           let ct = t.conntrack in
           let verdict = Ovs_conntrack.Conntrack.track ~buf:pkt ct ~now:t.now ~zone key in
           let conn =
@@ -738,28 +763,28 @@ let rec execute t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t)
           pkt.Ovs_packet.Buffer.ct_zone <- zone;
           FK.set key FK.Field.Ct_state ct_state;
           FK.set key FK.Field.Ct_zone zone;
-          trace_note t Trace.St_conntrack (fun () ->
-              Printf.sprintf "conntrack: zone %d, ct_state=%s%s" zone
-                (ct_state_string ct_state)
-                (if commit then " (committed)" else ""));
+          (match walker t Trace.St_conntrack with
+          | Some r ->
+              Trace.note r Trace.St_conntrack
+                (Printf.sprintf "conntrack: zone %d, ct_state=%s%s" zone
+                   (ct_state_string ct_state)
+                   (if commit then " (committed)" else ""))
+          | None -> ());
           if resume_table >= 0 then begin
             pkt.Ovs_packet.Buffer.recirc_id <- resume_table;
             recirculate t charge pkt
           end;
-          go rest
-        end
+          exec_actions t charge pkt key cost rest
       | Action.Odp_meter id ->
           (* the token bucket decides: over-rate packets die here and the
              remaining actions never run (OpenFlow meter semantics) *)
-          if meter_admits t id then go rest
+          if meter_admits t id then exec_actions t charge pkt key cost rest
           else t.counters.dropped <- t.counters.dropped + 1
       | Action.Odp_userspace ->
           (* punt to the controller: a PACKET_IN plus the slow-path cost *)
           charge Ovs_sim.Cpu.User c.Ovs_sim.Costs.upcall;
           (match t.controller with Some f -> f pkt | None -> ());
-          go rest
-  in
-  go actions
+          exec_actions t charge pkt key cost rest)
 
 (** A recirculation: re-extract (the packet changed or gained ct state) and
     run another datapath pass — this is why the NSX pipeline costs three
@@ -774,7 +799,9 @@ and do_pass t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) =
   trace_stage t Trace.St_extract;
   charge (fastpath_category t) (extract_cost t);
   let key = FK.extract pkt in
-  trace_note t Trace.St_extract (fun () -> Fmt.str "%a" FK.pp key);
+  (match walker t Trace.St_extract with
+  | Some r -> Trace.note r Trace.St_extract (Fmt.str "%a" FK.pp key)
+  | None -> ());
   match lookup_cached t charge key with
   | Some actions -> execute t charge pkt key actions
   | None -> begin
@@ -819,34 +846,8 @@ let handle_upcall t (charge : charge_fn) (pkt : Ovs_packet.Buffer.t) (key : FK.t
          megaflow already; re-probing first mirrors dpif-netdev's
          handle_packet_upcall re-lookup — and a re-probe hit counts as a
          megaflow hit like any other, keeping hits + misses = packets *)
-      trace_stage t Trace.St_dpcls;
-      match Ovs_flow.Dpcls.lookup_entry t.dpcls key with
-      | Some (e, probes, mf_mask) ->
-          let cat = fastpath_category t in
-          let per_probe =
-            (match t.flavor with
-            | Flavor_userspace -> t.costs.Ovs_sim.Costs.dpcls_subtable
-            | Flavor_kernel -> t.costs.Ovs_sim.Costs.kmod_flow_lookup
-            | Flavor_kernel_ebpf ->
-                t.costs.Ovs_sim.Costs.ebpf_map_lookup
-                +. (12. *. t.costs.Ovs_sim.Costs.ebpf_insn))
-            +. cold_penalty t
-          in
-          let cost = float_of_int probes *. per_probe in
-          charge cat cost;
-          e.Ovs_flow.Dpcls.cycles <- e.Ovs_flow.Dpcls.cycles +. cost;
-          t.counters.dpcls_hits <- t.counters.dpcls_hits + 1;
-          t.counters.cycles.dpcls_cycles <- t.counters.cycles.dpcls_cycles +. cost;
-          Coverage.incr cov_masked_hit;
-          let actions = e.Ovs_flow.Dpcls.value in
-          (match t.emc with
-          | Some emc when t.emc_enabled -> Ovs_flow.Emc.insert emc key actions
-          | Some _ | None -> ());
-          (match t.smc with
-          | Some smc when t.smc_enabled ->
-              Ovs_flow.Smc.insert smc key ~mask:mf_mask actions
-          | Some _ | None -> ());
-          actions
+      match dpcls_lookup t charge key with
+      | Some e -> e.Ovs_flow.Dpcls.value
       | None -> slowpath t charge key
     in
     execute t charge pkt key actions

@@ -6,7 +6,15 @@
     carries no priorities: one subtable per distinct wildcard mask, probed
     in descending hit-count order, first match wins. The number of
     subtables probed per lookup is reported to the caller because lookup
-    cost is proportional to it. *)
+    cost is proportional to it.
+
+    Each subtable is laid out the way dpif-netdev lays out its own: an
+    open-addressed table (linear probing, at most half full) of parallel
+    arrays. The mask's constrained fields are computed once; per slot the
+    table holds a hash signature, the masked values of just those fields
+    packed side by side, and the entry. A probe hashes and compares only
+    the constrained fields, reads the signature first and allocates
+    nothing. *)
 
 module FK = Ovs_packet.Flow_key
 
@@ -23,140 +31,250 @@ type 'a entry = {
           per-megaflow cycle stats *)
 }
 
+(* the signature of an empty slot; real signatures are non-negative *)
+let empty = -1
+
 type 'a subtable = {
   mask : FK.t;
-  tbl : (int, 'a entry list ref) Hashtbl.t;
-  mutable st_hits : int;
+  fields : int array;  (** indices of the fields [mask] constrains, ascending *)
+  fmasks : int array;  (** [mask]'s value on each of [fields] *)
+  mutable sigs : int array;  (** per slot: masked-key hash, or [empty] *)
+  mutable vals : int array;
+      (** per slot: the masked values of [fields], [Array.length fields]
+          words each *)
+  mutable ents : 'a entry option array;
+      (** per slot; the stored option is what a hit returns *)
+  mutable seqs : int array;  (** per slot: install stamp, for {!iter} order *)
   mutable st_count : int;
+  mutable st_hits : int;
+  mutable order_buckets : int;
+      (** bucket count of the chained table {!iter}'s order follows *)
+  mutable next_seq : int;
 }
 
 type 'a t = {
-  mutable subtables : 'a subtable list;
+  mutable subtables : 'a subtable array;  (** probe order *)
+  mutable count : int;
   mutable lookups : int;
   mutable total_probes : int;
   mutable resort_counter : int;
+  mutable last_probes : int;
+  mutable last_mask : FK.t;
 }
 
 let create () =
-  { subtables = []; lookups = 0; total_probes = 0; resort_counter = 0 }
+  {
+    subtables = [||];
+    count = 0;
+    lookups = 0;
+    total_probes = 0;
+    resort_counter = 0;
+    last_probes = 0;
+    last_mask = FK.create ();
+  }
 
-let subtable_count t = List.length t.subtables
+let subtable_count t = Array.length t.subtables
+let flow_count t = t.count
+let last_probes t = t.last_probes
+let last_mask t = t.last_mask
 
-let flow_count t =
-  List.fold_left (fun n st -> n + st.st_count) 0 t.subtables
+let initial_slots = 16
+
+let new_subtable mask =
+  let fields =
+    Array.of_list
+      (List.filter (fun i -> mask.(i) <> 0) (List.init FK.Field.count Fun.id))
+  in
+  let nf = Array.length fields in
+  {
+    mask = FK.copy mask;
+    fields;
+    fmasks = Array.map (fun i -> mask.(i)) fields;
+    sigs = Array.make initial_slots empty;
+    vals = Array.make (initial_slots * nf) 0;
+    ents = Array.make initial_slots None;
+    seqs = Array.make initial_slots 0;
+    st_count = 0;
+    st_hits = 0;
+    order_buckets = 256;
+    next_seq = 0;
+  }
+
+(* FNV-1a over the constrained fields of [key], masked: the value
+   [Flow_key.hash_masked] computes, since it skips unconstrained fields *)
+let sig_of st (key : FK.t) =
+  let h = ref 0x3bf29ce484222325 in
+  for j = 0 to Array.length st.fields - 1 do
+    h := (!h lxor (key.(st.fields.(j)) land st.fmasks.(j))) * 0x100000001b3
+  done;
+  !h land max_int
+
+(* Whether [key]'s masked fields [j..] equal the packed values from
+   [base] on. The probe loops are top-level functions: a local recursive
+   function that captures variables is a closure allocated per call. *)
+let rec vals_match st base (key : FK.t) j =
+  j >= Array.length st.fields
+  || st.vals.(base + j) = key.(st.fields.(j)) land st.fmasks.(j)
+     && vals_match st base key (j + 1)
+
+(* the slot holding a key of signature [h] from slot [i] on, or -1 *)
+let rec probe_from st h (key : FK.t) i =
+  let s = st.sigs.(i) in
+  if s = empty then -1
+  else if s = h && vals_match st (i * Array.length st.fields) key 0 then i
+  else probe_from st h key ((i + 1) land (Array.length st.sigs - 1))
+
+(* the slot holding [key]'s megaflow, or -1 *)
+let find_slot st (key : FK.t) =
+  let h = sig_of st key in
+  probe_from st h key (h land (Array.length st.sigs - 1))
+
+(* the first empty slot on [h]'s probe sequence *)
+let free_slot st h =
+  let m = Array.length st.sigs - 1 in
+  let rec go i = if st.sigs.(i) = empty then i else go ((i + 1) land m) in
+  go (h land m)
+
+(* copy slot [i] of [src] into slot [j] of [dst] *)
+let move_slot ~src i ~dst j =
+  let nf = Array.length src.fields in
+  dst.sigs.(j) <- src.sigs.(i);
+  Array.blit src.vals (i * nf) dst.vals (j * nf) nf;
+  dst.ents.(j) <- src.ents.(i);
+  dst.seqs.(j) <- src.seqs.(i)
+
+let grow st =
+  let old = { st with sigs = st.sigs } (* the current arrays *) in
+  let n = 2 * Array.length st.sigs in
+  let nf = Array.length st.fields in
+  st.sigs <- Array.make n empty;
+  st.vals <- Array.make (n * nf) 0;
+  st.ents <- Array.make n None;
+  st.seqs <- Array.make n 0;
+  Array.iteri
+    (fun i s -> if s <> empty then move_slot ~src:old i ~dst:st (free_slot st s))
+    old.sigs
 
 let find_subtable t mask =
-  List.find_opt (fun st -> FK.equal st.mask mask) t.subtables
+  Array.find_opt (fun st -> FK.equal st.mask mask) t.subtables
 
 (** Install a megaflow. [key] needs not be pre-masked. *)
 let insert t ~mask ~key value =
-  let masked = FK.apply_mask key mask in
   let st =
     match find_subtable t mask with
     | Some st -> st
     | None ->
-        let st =
-          { mask = FK.copy mask; tbl = Hashtbl.create 256; st_hits = 0; st_count = 0 }
-        in
-        t.subtables <- st :: t.subtables;
+        let st = new_subtable mask in
+        t.subtables <- Array.append [| st |] t.subtables;
         st
   in
-  (* hash exactly as lookup will: over the masked-in fields only *)
-  let h = FK.hash_masked masked st.mask in
-  let bucket =
-    match Hashtbl.find_opt st.tbl h with
-    | Some b -> b
-    | None ->
-        let b = ref [] in
-        Hashtbl.replace st.tbl h b;
-        b
-  in
-  (* replace an existing entry with the same masked key, in place *)
-  let existing = List.exists (fun e -> FK.equal e.key masked) !bucket in
-  if existing then
-    List.iter (fun e -> if FK.equal e.key masked then e.value <- value) !bucket
-  else begin
-    bucket := { key = masked; value; hits = 0; cycles = 0. } :: !bucket;
-    st.st_count <- st.st_count + 1
-  end
+  match find_slot st key with
+  | i when i >= 0 -> (
+      (* replace an existing entry with the same masked key, in place *)
+      match st.ents.(i) with Some e -> e.value <- value | None -> ())
+  | _ ->
+      if 2 * (st.st_count + 1) > Array.length st.sigs then grow st;
+      let h = sig_of st key in
+      let i = free_slot st h in
+      let nf = Array.length st.fields in
+      st.sigs.(i) <- h;
+      for j = 0 to nf - 1 do
+        st.vals.((i * nf) + j) <- key.(st.fields.(j)) land st.fmasks.(j)
+      done;
+      (* always a fresh record: the computational cache holds entries *)
+      st.ents.(i) <-
+        Some { key = FK.apply_mask key mask; value; hits = 0; cycles = 0. };
+      st.seqs.(i) <- st.next_seq;
+      st.next_seq <- st.next_seq + 1;
+      st.st_count <- st.st_count + 1;
+      t.count <- t.count + 1;
+      (* a chained table of this many buckets doubles once it holds more
+         than two entries per bucket *)
+      if st.st_count > 2 * st.order_buckets then
+        st.order_buckets <- 2 * st.order_buckets
 
-(** Look a packet's flow key up. Returns the value, the number of
-    subtables probed (the lookup's cost driver) and the matching
-    subtable's mask (for installing into upper cache layers), or [None]
-    after probing them all. Subtables are re-sorted by hit count
-    periodically, as the real dpcls does. *)
-let lookup_entry t (key : FK.t) : ('a entry * int * FK.t) option =
+(* Re-rank the subtables by hit count every 1024 lookups, as the real
+   dpcls does, then decay the counts: each resort period then weighs
+   recent traffic against a halved history, so a workload shift reorders
+   within a few periods. Sorting by all-time hits never reorders once an
+   old hot subtable has banked a large lead. *)
+let tick t =
   t.lookups <- t.lookups + 1;
   t.resort_counter <- t.resort_counter + 1;
   if t.resort_counter >= 1024 then begin
     t.resort_counter <- 0;
-    t.subtables <-
-      List.sort (fun a b -> compare b.st_hits a.st_hits) t.subtables;
-    (* decay the counts after ranking: each resort period then weighs
-       recent traffic against a halved history, so a workload shift
-       reorders within a few periods. Sorting by all-time hits never
-       reorders once an old hot subtable has banked a large lead. *)
-    List.iter (fun st -> st.st_hits <- st.st_hits / 2) t.subtables
-  end;
-  let rec probe n = function
-    | [] ->
-        t.total_probes <- t.total_probes + n;
-        None
-    | st :: rest -> begin
-        let h = FK.hash_masked key st.mask in
-        let hit =
-          match Hashtbl.find_opt st.tbl h with
-          | None -> None
-          | Some bucket ->
-              List.find_opt
-                (fun e -> FK.equal e.key (FK.apply_mask key st.mask))
-                !bucket
-        in
-        match hit with
-        | Some e ->
-            e.hits <- e.hits + 1;
-            st.st_hits <- st.st_hits + 1;
-            t.total_probes <- t.total_probes + n + 1;
-            Some (e, n + 1, st.mask)
-        | None -> probe (n + 1) rest
-      end
-  in
-  probe 0 t.subtables
+    (* a sorted copy: an {!iter} in progress keeps the order it began with *)
+    let subs = Array.copy t.subtables in
+    Array.stable_sort (fun a b -> compare b.st_hits a.st_hits) subs;
+    Array.iter (fun st -> st.st_hits <- st.st_hits / 2) subs;
+    t.subtables <- subs
+  end
 
-(** {!lookup_entry} with the entry resolved to its value. *)
-let lookup_full t (key : FK.t) : ('a * int * FK.t) option =
-  match lookup_entry t key with
-  | Some (e, probes, mask) -> Some (e.value, probes, mask)
-  | None -> None
+(* probe subtables [k..] of [subs] in order *)
+let rec probe_subtables t subs (key : FK.t) k =
+  if k = Array.length subs then begin
+    t.total_probes <- t.total_probes + k;
+    t.last_probes <- k;
+    None
+  end
+  else
+    let st = subs.(k) in
+    let i = find_slot st key in
+    if i < 0 then probe_subtables t subs key (k + 1)
+    else
+      match st.ents.(i) with
+      | Some e as hit ->
+          e.hits <- e.hits + 1;
+          st.st_hits <- st.st_hits + 1;
+          t.total_probes <- t.total_probes + k + 1;
+          t.last_probes <- k + 1;
+          t.last_mask <- st.mask;
+          hit
+      | None -> probe_subtables t subs key (k + 1)
 
-(** {!lookup_full} without the mask. *)
-let lookup t (key : FK.t) : ('a * int) option =
-  match lookup_full t key with
-  | Some (v, probes, _) -> Some (v, probes)
-  | None -> None
+(** Look a packet's flow key up: the hit entry, or [None] after probing
+    every subtable. {!last_probes} and {!last_mask} then describe it. *)
+let lookup t (key : FK.t) : 'a entry option =
+  tick t;
+  probe_subtables t t.subtables key 0
 
 (** Look [key] up without mutating any statistic, hit count or the
     subtable order — for cross-checking other tiers against the
     classifier on live state. *)
 let peek t (key : FK.t) : ('a * FK.t) option =
-  let rec probe = function
-    | [] -> None
-    | st :: rest -> begin
-        let h = FK.hash_masked key st.mask in
-        let hit =
-          match Hashtbl.find_opt st.tbl h with
-          | None -> None
-          | Some bucket ->
-              List.find_opt
-                (fun e -> FK.equal e.key (FK.apply_mask key st.mask))
-                !bucket
-        in
-        match hit with
-        | Some e -> Some (e.value, st.mask)
-        | None -> probe rest
-      end
+  let subs = t.subtables in
+  let rec probe k =
+    if k = Array.length subs then None
+    else
+      let st = subs.(k) in
+      let i = find_slot st key in
+      match if i < 0 then None else st.ents.(i) with
+      | Some e -> Some (e.value, st.mask)
+      | None -> probe (k + 1)
   in
-  probe t.subtables
+  probe 0
+
+(* Empty slot [i] by backward-shift deletion: later members of its probe
+   run move up, so no tombstone is left behind. *)
+let delete_slot st i =
+  let m = Array.length st.sigs - 1 in
+  let rec shift hole j =
+    let s = st.sigs.(j) in
+    if s = empty then hole
+    else
+      (* the entry at [j] may fill [hole] unless its home slot lies
+         cyclically within (hole, j] *)
+      let home = s land m in
+      let dist_hole = (j - home) land m and dist_j = (j - hole) land m in
+      if dist_hole >= dist_j then begin
+        move_slot ~src:st j ~dst:st hole;
+        shift j ((j + 1) land m)
+      end
+      else shift hole ((j + 1) land m)
+  in
+  let hole = shift i ((i + 1) land m) in
+  st.sigs.(hole) <- empty;
+  st.ents.(hole) <- None
 
 (** Remove the megaflow matching [key] under [mask]; empty subtables are
     garbage collected. Returns whether an entry was removed. *)
@@ -164,43 +282,51 @@ let remove t ~mask ~key =
   match find_subtable t mask with
   | None -> false
   | Some st ->
-      let masked = FK.apply_mask key mask in
-      let h = FK.hash_masked masked st.mask in
-      let removed = ref false in
-      (match Hashtbl.find_opt st.tbl h with
-      | None -> ()
-      | Some bucket ->
-          let before = List.length !bucket in
-          bucket := List.filter (fun e -> not (FK.equal e.key masked)) !bucket;
-          if List.length !bucket < before then begin
-            removed := true;
-            st.st_count <- st.st_count - 1;
-            if !bucket = [] then Hashtbl.remove st.tbl h
-          end);
+      let i = find_slot st key in
+      if i >= 0 then begin
+        delete_slot st i;
+        st.st_count <- st.st_count - 1;
+        t.count <- t.count - 1
+      end;
       if st.st_count = 0 then
-        t.subtables <- List.filter (fun s -> s != st) t.subtables;
-      !removed
+        t.subtables <-
+          Array.of_list
+            (List.filter (fun s -> s != st) (Array.to_list t.subtables));
+      i >= 0
 
 let flush t =
-  t.subtables <- [];
+  t.subtables <- [||];
+  t.count <- 0;
   t.lookups <- 0;
   t.total_probes <- 0
 
-(** Iterate every installed megaflow as (mask, masked key, value, hits). *)
-let iter t f =
+(* A subtable's live slots in the order a stdlib [Hashtbl] keyed by the
+   signature and grown from 256 buckets would visit them: ascending
+   [Hashtbl.hash sig] bucket, newest install first within a bucket.
+   Revalidation, dump-flows and the computational cache's training read
+   megaflows in this order. *)
+let ordered_slots st =
+  let live = ref [] in
+  Array.iteri (fun i s -> if s <> empty then live := i :: !live) st.sigs;
+  let b = Array.make (Array.length st.sigs) 0 in
   List.iter
-    (fun st ->
-      Hashtbl.iter
-        (fun _ bucket -> List.iter (fun e -> f ~mask:st.mask ~key:e.key e.value e.hits) !bucket)
-        st.tbl)
-    t.subtables
+    (fun i -> b.(i) <- Hashtbl.hash st.sigs.(i) land (st.order_buckets - 1))
+    !live;
+  List.sort
+    (fun i j ->
+      if b.(i) <> b.(j) then compare b.(i) b.(j) else compare st.seqs.(j) st.seqs.(i))
+    !live
 
 (** {!iter} with the full entry exposed (hit and cycle stats). *)
 let iter_entries t f =
-  List.iter
+  Array.iter
     (fun st ->
-      Hashtbl.iter (fun _ bucket -> List.iter (fun e -> f ~mask:st.mask e) !bucket) st.tbl)
+      List.filter_map (fun i -> st.ents.(i)) (ordered_slots st)
+      |> List.iter (fun e -> f ~mask:st.mask e))
     t.subtables
+
+(** Iterate every installed megaflow as (mask, masked key, value, hits). *)
+let iter t f = iter_entries t (fun ~mask e -> f ~mask ~key:e.key e.value e.hits)
 
 (** Mean subtables probed per lookup so far. *)
 let mean_probes t =

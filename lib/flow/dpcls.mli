@@ -3,7 +3,8 @@
     distinct wildcard mask; megaflows are disjoint so there are no
     priorities; subtables are probed in descending hit-count order and
     re-sorted periodically. Lookup cost is proportional to the number of
-    subtables probed, which the API reports. *)
+    subtables probed, which the API reports. Each subtable is an
+    open-addressed table of hash signatures and packed masked fields. *)
 
 module FK = Ovs_packet.Flow_key
 
@@ -28,24 +29,25 @@ val subtable_count : 'a t -> int
 (** Distinct wildcard masks currently installed. *)
 
 val flow_count : 'a t -> int
-(** Total megaflow entries. *)
+(** Total megaflow entries. O(1). *)
 
 val insert : 'a t -> mask:FK.t -> key:FK.t -> 'a -> unit
 (** Install (or replace) the megaflow matching [key] under [mask]. [key]
-    need not be pre-masked. *)
+    need not be pre-masked. A new megaflow always gets a fresh {!entry}
+    (the computational cache holds entries); a replacement updates the
+    existing entry's value in place. *)
 
-val lookup_entry : 'a t -> FK.t -> ('a entry * int * FK.t) option
-(** [lookup_entry t key] is [Some (entry, subtables_probed, mask)] for the
-    first subtable containing a match, or [None] after probing them all.
-    The returned mask identifies the matching megaflow's subtable so upper
-    cache layers can be populated; the entry is exposed so the caller can
-    credit lookup cycles to it. *)
+val lookup : 'a t -> FK.t -> 'a entry option
+(** [lookup t key] is the entry of the first subtable holding a match,
+    or [None] after probing them all. A warm hit allocates nothing. The
+    entry is exposed so the caller can credit lookup cycles to it. *)
 
-val lookup_full : 'a t -> FK.t -> ('a * int * FK.t) option
-(** {!lookup_entry} with the entry resolved to its value. *)
+val last_probes : 'a t -> int
+(** Subtables the latest {!lookup} probed: its cost driver. *)
 
-val lookup : 'a t -> FK.t -> ('a * int) option
-(** {!lookup_full} without the mask. *)
+val last_mask : 'a t -> FK.t
+(** After a {!lookup} hit, the matching subtable's mask, so upper cache
+    layers can be populated. Shared with the classifier: do not mutate. *)
 
 val peek : 'a t -> FK.t -> ('a * FK.t) option
 (** Lookup without mutating any statistic, hit count or the subtable
@@ -60,7 +62,10 @@ val flush : 'a t -> unit
 val iter :
   'a t -> (mask:FK.t -> key:FK.t -> 'a -> int -> unit) -> unit
 (** Visit every megaflow as [(mask, masked key, value, hit count)] — the
-    dpctl/dump-flows view. *)
+    dpctl/dump-flows view. Subtables come in probe order. Within one, the
+    order is that of a stdlib [Hashtbl] keyed by the masked hash and
+    grown from 256 buckets: ascending [Hashtbl.hash] bucket, newest
+    install first within a bucket. *)
 
 val iter_entries : 'a t -> (mask:FK.t -> 'a entry -> unit) -> unit
 (** {!iter} with the full entry exposed (hit and cycle stats). *)

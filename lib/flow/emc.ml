@@ -2,12 +2,25 @@
     lookup hierarchy. Maps a packet's full flow key to its megaflow with a
     2-way set-associative probe, exactly the structure whose in-kernel
     counterpart the Linux maintainers rejected (Sec 2.1, [61]) — which is
-    why only the userspace datapaths get to have one. *)
+    why only the userspace datapaths get to have one.
 
-type 'a entry = { key : Ovs_packet.Flow_key.t; mutable value : 'a; mutable hits : int }
+    A signature array sits in front of the slots: a slot is live exactly
+    when its signature (the key's hash) is set, so a miss costs two int
+    reads and no key comparison. A slot's entry record, once allocated,
+    stays with the slot: refilling it overwrites the record in place. *)
+
+module FK = Ovs_packet.Flow_key
+
+type 'a entry = { key : FK.t; mutable value : 'a; mutable hits : int }
+
+(* the signature of an empty slot; key hashes are non-negative *)
+let empty = -1
 
 type 'a t = {
+  sigs : int array;  (** per slot: the live key's hash, or [empty] *)
   slots : 'a entry option array;
+      (** per slot: its record, [None] until first filled; meaningful only
+          while the signature is set *)
   mask : int;
   mutable insertions : int;
   mutable lookups : int;
@@ -21,6 +34,7 @@ let create ?(entries = default_entries) () =
   if entries <= 0 || entries land (entries - 1) <> 0 then
     invalid_arg "Emc.create: entries must be a power of two";
   {
+    sigs = Array.make entries empty;
     slots = Array.make entries None;
     mask = entries - 1;
     insertions = 0;
@@ -31,47 +45,71 @@ let create ?(entries = default_entries) () =
 
 let slot2 t h = (h lsr 13) land t.mask
 
-(* the value of slot [i] when it holds [key], counting the hit *)
-let probe t i (key : Ovs_packet.Flow_key.t) =
-  match t.slots.(i) with
-  | Some e when Ovs_packet.Flow_key.equal e.key key ->
-      e.hits <- e.hits + 1;
-      Some e.value
-  | Some _ | None -> None
+(* whether slot [i] is live and holds [key] (hash [h]) *)
+let holds t i h (key : FK.t) =
+  t.sigs.(i) = h
+  && match t.slots.(i) with Some e -> FK.equal e.key key | None -> false
 
-let lookup t (key : Ovs_packet.Flow_key.t) : 'a option =
+(* the slot, of the two candidates, that holds [key]; -1 when neither *)
+let find t h (key : FK.t) =
+  let i1 = h land t.mask in
+  if holds t i1 h key then i1
+  else
+    let i2 = slot2 t h in
+    if holds t i2 h key then i2 else -1
+
+let lookup t (key : FK.t) : 'a option =
   t.lookups <- t.lookups + 1;
-  let h = Ovs_packet.Flow_key.hash key in
-  let r =
-    match probe t (h land t.mask) key with
-    | Some _ as hit -> hit
-    | None -> probe t (slot2 t h) key
-  in
-  (match r with Some _ -> t.hit_count <- t.hit_count + 1 | None -> ());
-  r
+  let h = FK.hash key in
+  let i = find t h key in
+  match if i < 0 then None else t.slots.(i) with
+  | Some e ->
+      e.hits <- e.hits + 1;
+      t.hit_count <- t.hit_count + 1;
+      Some e.value
+  | None -> None
+
+(* Make slot [i] hold [key] with a cold hit count, reusing the slot's
+   record when it has one. *)
+let fill t i h (key : FK.t) value =
+  t.sigs.(i) <- h;
+  match t.slots.(i) with
+  | Some e ->
+      Array.blit key 0 e.key 0 FK.Field.count;
+      e.value <- value;
+      e.hits <- 0
+  | None -> t.slots.(i) <- Some { key = FK.copy key; value; hits = 0 }
+
+(* a live slot's hit count *)
+let hits t i = match t.slots.(i) with Some e -> e.hits | None -> 0
 
 (** Insert, evicting the colder of the two candidate slots when both are
     occupied (OVS evicts probabilistically; coldest-of-two keeps the test
     behaviour deterministic). *)
-let insert t (key : Ovs_packet.Flow_key.t) (value : 'a) =
+let insert t (key : FK.t) (value : 'a) =
   t.insertions <- t.insertions + 1;
-  let h = Ovs_packet.Flow_key.hash key in
-  let i1 = h land t.mask and i2 = slot2 t h in
-  let fresh = Some { key = Ovs_packet.Flow_key.copy key; value; hits = 0 } in
-  match (t.slots.(i1), t.slots.(i2)) with
-  | Some e, _ when Ovs_packet.Flow_key.equal e.key key -> e.value <- value
-  | _, Some e when Ovs_packet.Flow_key.equal e.key key -> e.value <- value
-  | None, _ ->
-      t.slots.(i1) <- fresh;
+  let h = FK.hash key in
+  let i = find t h key in
+  if i >= 0 then
+    match t.slots.(i) with Some e -> e.value <- value | None -> ()
+  else
+    let i1 = h land t.mask and i2 = slot2 t h in
+    if t.sigs.(i1) = empty then begin
+      fill t i1 h key value;
       t.occupied <- t.occupied + 1
-  | _, None ->
-      t.slots.(i2) <- fresh;
+    end
+    else if t.sigs.(i2) = empty then begin
+      fill t i2 h key value;
       t.occupied <- t.occupied + 1
-  | Some a, Some b ->
-      if a.hits <= b.hits then t.slots.(i1) <- fresh else t.slots.(i2) <- fresh
+    end
+    else if hits t i1 <= hits t i2 then fill t i1 h key value
+    else fill t i2 h key value
 
+(* Records stay with their slots, so a refill after a flush allocates
+   nothing either; a dead record keeps its last value reachable until
+   its slot is refilled, at most one per slot. *)
 let flush t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
+  Array.fill t.sigs 0 (Array.length t.sigs) empty;
   t.occupied <- 0
 
 let occupancy t = t.occupied
